@@ -1,8 +1,6 @@
-// Micro benchmark M4: trace IO throughput — how fast the streaming
-// reader yields requests (buffered block reads vs the legacy
-// one-fread-per-field path) and how fast the mmap overlay scans. The
-// buffered reader is the floor for every --trace-in replay that cannot
-// mmap (v1 traces); the mapped scan is the v2 replay's ingest cost.
+// Micro benchmark M4: trace IO throughput — how fast the mmap overlay
+// scans a trace, i.e. the ingest cost of every --trace-in replay, of
+// ReadTrace and of SummarizeTrace (all three read through MappedTrace).
 
 #include <benchmark/benchmark.h>
 
@@ -31,29 +29,6 @@ const std::string& TracePath() {
   }();
   return *path;
 }
-
-void BM_TraceReaderNext(benchmark::State& state) {
-  trace::TraceReader::Options options;
-  options.buffer_bytes = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto reader_or = trace::TraceReader::Open(TracePath(), options);
-    CASCACHE_CHECK_OK(reader_or.status());
-    trace::Request req;
-    uint64_t n = 0;
-    for (;;) {
-      auto more_or = (*reader_or)->Next(&req);
-      CASCACHE_CHECK_OK(more_or.status());
-      if (!*more_or) break;
-      benchmark::DoNotOptimize(req);
-      ++n;
-    }
-    CASCACHE_CHECK(n == kRequests);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kRequests));
-}
-// 0 = legacy unbuffered (three freads per record); 256 KiB = default.
-BENCHMARK(BM_TraceReaderNext)->Arg(0)->Arg(256 * 1024);
 
 void BM_MappedTraceScan(benchmark::State& state) {
   for (auto _ : state) {

@@ -49,9 +49,15 @@ class SlotIndex {
     }
     if (id >= slots_.size()) {
       // Geometric growth keeps amortized cost O(1) for ids arriving in
-      // ascending order; new entries start empty.
+      // ascending order; new entries start empty. After Clear() the
+      // table refills the capacity it kept: doubling from the first id
+      // seen could overshoot that capacity and reallocate every reused
+      // store, so peak memory would depend on whether a store is new.
       const size_t target =
-          std::max<size_t>(static_cast<size_t>(id) + 1, slots_.size() * 2);
+          id < slots_.capacity()
+              ? slots_.capacity()
+              : std::max<size_t>(static_cast<size_t>(id) + 1,
+                                 slots_.size() * 2);
       slots_.resize(target, kNoSlot);
     }
     slots_[id] = slot;

@@ -31,7 +31,7 @@ struct ExperimentConfig {
   /// CASCACHE_JOBS environment variable, falling back to
   /// hardware_concurrency. Results are bit-identical for every value.
   int jobs = 0;
-  /// Only meaningful with CreateFromTrace over a mapped (v2) trace:
+  /// Only meaningful with CreateFromTrace (a mapped trace):
   /// advise-release consumed request pages during replay so resident
   /// memory stays O(1) in trace length. Forces sequential cells (jobs
   /// = 1) — concurrent cells at different trace offsets would refault
@@ -87,12 +87,10 @@ class ExperimentRunner {
   static util::StatusOr<std::unique_ptr<ExperimentRunner>> Create(
       const ExperimentConfig& config);
 
-  /// Builds the runner over a saved binary trace instead of generating
-  /// the synthetic workload (config.workload is ignored except as
-  /// provenance). A v2 trace is memory-mapped — one shared read-only
-  /// mapping replayed in place by every parallel cell; a legacy v1
-  /// trace falls back to an in-RAM load (its request region is not
-  /// mmap-able).
+  /// Builds the runner over a saved v2/v3 binary trace instead of
+  /// generating the synthetic workload (config.workload is ignored except
+  /// as provenance). The trace is memory-mapped (MappedTrace::Open) — one
+  /// shared read-only mapping replayed in place by every parallel cell.
   static util::StatusOr<std::unique_ptr<ExperimentRunner>> CreateFromTrace(
       const ExperimentConfig& config, const std::string& trace_path);
 
@@ -111,16 +109,16 @@ class ExperimentRunner {
   util::StatusOr<RunResult> RunOne(const schemes::SchemeSpec& spec,
                                    double cache_fraction);
 
-  /// The generated workload. Empty under CreateFromTrace with a mapped
-  /// trace (requests stay on disk); use view() for replay-agnostic
-  /// access.
+  /// The generated workload. Empty under CreateFromTrace (requests stay
+  /// on disk); use view() for replay-agnostic access.
   const trace::Workload& workload() const { return workload_; }
   /// Borrowed catalog + request span, regardless of backing storage
-  /// (generated vector, in-RAM v1 load, or shared v2 mapping).
+  /// (generated vector under Create, shared mapping under
+  /// CreateFromTrace).
   trace::WorkloadView view() const {
     return mapped_ != nullptr ? mapped_->View() : workload_.View();
   }
-  /// Non-null iff this runner replays a mapped v2 trace.
+  /// Non-null iff the runner was built by CreateFromTrace.
   const trace::MappedTrace* mapped_trace() const { return mapped_.get(); }
   Network* network() { return network_.get(); }
   const ExperimentConfig& config() const { return config_; }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "trace/trace_io.h"
 
@@ -70,13 +71,9 @@ util::StatusOr<std::unique_ptr<MappedTrace>> MappedTrace::Open(
     return util::Status::IoError("bad magic in trace file: " + path);
   }
   const uint32_t version = LoadUnaligned<uint32_t>(base + 4);
-  if (version == kTraceVersion1) {
-    return util::Status::InvalidArgument(
-        "trace is v1, which is not mmap-able (request region unaligned); "
-        "load it with ReadTrace or rewrite it as v2: " + path);
-  }
   if (version != kTraceVersion2 && version != kTraceVersion3) {
-    return util::Status::InvalidArgument("unsupported trace version");
+    return util::Status::InvalidArgument(
+        "unsupported trace version " + std::to_string(version) + ": " + path);
   }
   const uint32_t num_objects = LoadUnaligned<uint32_t>(base + 8);
   const uint32_t num_servers = LoadUnaligned<uint32_t>(base + 12);
@@ -98,7 +95,10 @@ util::StatusOr<std::unique_ptr<MappedTrace>> MappedTrace::Open(
     return util::Status::InvalidArgument(
         "request region overlaps catalog: " + path);
   }
-  if (file_bytes < request_offset + sizeof(Request) * num_requests) {
+  // Divide rather than multiply: a hostile num_requests would wrap
+  // sizeof(Request) * num_requests past 2^64 and slip under the bound.
+  if (request_offset > file_bytes ||
+      num_requests > (file_bytes - request_offset) / sizeof(Request)) {
     return util::Status::IoError(
         "trace file shorter than its header claims (truncated mapping): " +
         path);
@@ -129,6 +129,7 @@ util::StatusOr<std::unique_ptr<MappedTrace>> MappedTrace::Open(
     }
   }
 
+  trace->version_ = version;
   trace->request_offset_ = request_offset;
   trace->num_requests_ = num_requests;
   trace->requests_ =
@@ -182,15 +183,8 @@ util::Status MappedTrace::Validate() {
   const uint32_t num_objects = catalog_.num_objects();
   constexpr uint64_t kScanBlock = 1 << 20;  // Requests between releases.
   for (uint64_t i = 0; i < num_requests_; ++i) {
-    const Request& req = requests_[i];
-    if (req.object >= num_objects) {
-      return util::Status::InvalidArgument("object id out of range");
-    }
-    if (req.time < prev_time) {
-      return util::Status::InvalidArgument(
-          "request timestamps not sorted in trace");
-    }
-    prev_time = req.time;
+    CASCACHE_RETURN_IF_ERROR(
+        CheckRequest(requests_[i], num_objects, &prev_time));
     if ((i + 1) % kScanBlock == 0) {
       ReleaseUpTo(static_cast<size_t>(i + 1));
     }

@@ -14,19 +14,20 @@ namespace cascache::trace {
 
 /// Read-only memory-mapped view of a v2 or v3 binary trace (trace_io.h);
 /// a v3 file's procedural catalog is regenerated from its 64-byte model
-/// block at open. The
-/// page-aligned request region is overlaid directly as a Request array
-/// — no per-request copies, no decode pass — and the single mapping is
-/// shared read-only by every parallel sweep cell. The kernel is advised
-/// of the sequential access pattern (MADV_SEQUENTIAL + MADV_WILLNEED),
-/// and consumed pages can be advised away (ReleaseUpTo) so a replay's
-/// resident set stays O(1) in trace length.
+/// block at open. The page-aligned request region is overlaid directly
+/// as a Request array — no per-request copies, no decode pass — and the
+/// single mapping is shared read-only by every parallel sweep cell. The
+/// kernel is advised of the sequential access pattern (MADV_SEQUENTIAL +
+/// MADV_WILLNEED), and consumed pages can be advised away (ReleaseUpTo)
+/// so a replay's resident set stays O(1) in trace length.
 ///
-/// v1 traces are not mmap-able: their request region starts at
-/// 24 + 12*num_objects, which is not 8-byte aligned in general, so
-/// overlaying doubles would be undefined behavior. Open() rejects them
-/// with InvalidArgument; load v1 via ReadTrace (or rewrite it as v2
-/// with ReadTrace + WriteTrace).
+/// Open() is the only parser of the .cctr header and catalog: ReadTrace,
+/// SummarizeTrace and ExperimentRunner::CreateFromTrace all go through
+/// it. It answers any malformed header — bad magic, unsupported version
+/// (including the retired v1 layout), unaligned or overlapping request
+/// region, corrupt catalog, or a request count the file cannot hold —
+/// with an error Status. Request records are not checked at open; see
+/// Validate().
 class MappedTrace {
  public:
   static util::StatusOr<std::unique_ptr<MappedTrace>> Open(
@@ -39,6 +40,9 @@ class MappedTrace {
   const ObjectCatalog& catalog() const { return catalog_; }
   uint64_t num_requests() const { return num_requests_; }
   const std::string& path() const { return path_; }
+  /// Format version from the header (kTraceVersion2 or kTraceVersion3).
+  uint32_t version() const { return version_; }
+  uint64_t file_bytes() const { return map_bytes_; }
 
   /// The whole request stream, straight out of the mapping. Seekable by
   /// construction: subspans address warm-up/measure splits and sweep
@@ -66,11 +70,11 @@ class MappedTrace {
   /// kReleaseGranularityBytes. Thread-safe; purely advisory.
   void ReleaseUpTo(size_t request_index);
 
-  /// One full streaming validation pass over the request region (object
-  /// ids in range, timestamps monotonically non-decreasing) — the check
-  /// ReadTrace performs eagerly. Releases pages as it scans so the pass
-  /// itself stays O(1) resident. Intended for ingest-time checking;
-  /// replay paths trust the mapping.
+  /// One full streaming validation pass over the request region
+  /// (CheckRequest on every record) — the check ReadTrace and
+  /// SummarizeTrace perform as they scan. Releases pages as it scans so
+  /// the pass itself stays O(1) resident. Intended for ingest-time
+  /// checking; replay paths trust the mapping.
   util::Status Validate();
 
   /// Release granularity: consumed pages are dropped in 16 MiB steps so
@@ -82,6 +86,7 @@ class MappedTrace {
 
   std::string path_;
   ObjectCatalog catalog_;
+  uint32_t version_ = 0;
   void* map_ = nullptr;
   size_t map_bytes_ = 0;
   uint64_t request_offset_ = 0;

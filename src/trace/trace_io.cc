@@ -4,11 +4,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
+#include "trace/mapped_trace.h"
 #include "util/zipf.h"
 
 namespace cascache::trace {
@@ -16,11 +16,13 @@ namespace cascache::trace {
 namespace {
 
 constexpr char kMagic[4] = {'C', 'C', 'T', 'R'};
-// Byte offset of the num_requests header field (both versions):
+// Byte offset of the num_requests header field:
 // magic(4) + version(4) + num_objects(4) + num_servers(4).
 constexpr long kNumRequestsOffset = 16;
-constexpr uint64_t kTraceV1HeaderBytes = 24;
 constexpr uint64_t kCatalogEntryBytes = 12;  // uint64 size + uint32 server
+// Requests a full scan consumes between page releases (one 16 MiB
+// MappedTrace release granule).
+constexpr uint64_t kScanBlock = 1 << 20;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -34,98 +36,8 @@ bool WriteOne(std::FILE* f, const T& v) {
   return std::fwrite(&v, sizeof(T), 1, f) == 1;
 }
 
-template <typename T>
-bool ReadOne(std::FILE* f, T* v) {
-  return std::fread(v, sizeof(T), 1, f) == 1;
-}
-
 uint64_t AlignUp(uint64_t v, uint64_t align) {
   return (v + align - 1) / align * align;
-}
-
-/// Parsed common header of either format version. After
-/// ReadHeaderAndCatalog returns OK the stream is positioned at the
-/// first request record.
-struct ParsedHeader {
-  uint32_t version = 0;
-  uint32_t num_objects = 0;
-  uint32_t num_servers = 0;
-  uint64_t num_requests = 0;
-  uint64_t request_offset = 0;
-};
-
-util::Status ReadHeaderAndCatalog(std::FILE* f, const std::string& path,
-                                  ParsedHeader* h, ObjectCatalog* catalog) {
-  char magic[4];
-  if (std::fread(magic, 1, 4, f) != 4 ||
-      std::memcmp(magic, kMagic, 4) != 0) {
-    return util::Status::IoError("bad magic in trace file: " + path);
-  }
-  if (!ReadOne(f, &h->version) || !ReadOne(f, &h->num_objects) ||
-      !ReadOne(f, &h->num_servers) || !ReadOne(f, &h->num_requests)) {
-    return util::Status::IoError("truncated header: " + path);
-  }
-  if (h->version != kTraceVersion1 && h->version != kTraceVersion2 &&
-      h->version != kTraceVersion3) {
-    return util::Status::InvalidArgument("unsupported trace version");
-  }
-  // v3 stores a 64-byte catalog model instead of per-object entries.
-  const uint64_t catalog_bytes =
-      h->version == kTraceVersion3
-          ? sizeof(CatalogModel)
-          : kCatalogEntryBytes * static_cast<uint64_t>(h->num_objects);
-  const uint64_t catalog_end =
-      (h->version == kTraceVersion1 ? kTraceV1HeaderBytes
-                                    : kTraceV2HeaderBytes) +
-      catalog_bytes;
-  if (h->version != kTraceVersion1) {
-    if (!ReadOne(f, &h->request_offset)) {
-      return util::Status::IoError("truncated header: " + path);
-    }
-    if (h->request_offset % kTraceRequestAlign != 0) {
-      return util::Status::InvalidArgument(
-          "request region not page-aligned: " + path);
-    }
-    if (h->request_offset < catalog_end) {
-      return util::Status::InvalidArgument(
-          "request region overlaps catalog: " + path);
-    }
-  } else {
-    h->request_offset = catalog_end;
-  }
-
-  if (h->version == kTraceVersion3) {
-    CatalogModel model;
-    if (!ReadOne(f, &model)) {
-      return util::Status::IoError("truncated catalog model: " + path);
-    }
-    CASCACHE_RETURN_IF_ERROR(ValidateCatalogModel(model));
-    if (h->num_objects == 0 || h->num_servers == 0) {
-      return util::Status::InvalidArgument(
-          "v3 trace needs objects and servers: " + path);
-    }
-    catalog->BuildProcedural(model, h->num_objects, h->num_servers);
-  } else {
-    for (uint32_t i = 0; i < h->num_objects; ++i) {
-      uint64_t size = 0;
-      uint32_t server = 0;
-      if (!ReadOne(f, &size) || !ReadOne(f, &server)) {
-        return util::Status::IoError("truncated catalog: " + path);
-      }
-      if (size == 0) {
-        return util::Status::InvalidArgument("zero-size object in trace");
-      }
-      if (server >= h->num_servers) {
-        return util::Status::InvalidArgument("server id out of range");
-      }
-      catalog->Add(size, server);
-    }
-  }
-  if (h->version != kTraceVersion1 &&
-      fseeko(f, static_cast<off_t>(h->request_offset), SEEK_SET) != 0) {
-    return util::Status::IoError("seek to request region failed: " + path);
-  }
-  return util::Status::Ok();
 }
 
 /// Writes the v2/v3 header + catalog (or model block) + zero padding; on
@@ -246,118 +158,53 @@ util::StatusOr<bool> ParseCsvRow(const char* line, uint64_t lineno,
 }  // namespace
 
 util::Status WriteTrace(const Workload& workload, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open for write: " + path);
-  }
-  const uint64_t num_requests = workload.requests.size();
+  CASCACHE_ASSIGN_OR_RETURN(
+      std::unique_ptr<TraceWriter> writer,
+      TraceWriter::Create(path, workload.catalog, workload.requests.size()));
   CASCACHE_RETURN_IF_ERROR(
-      WriteV2Preamble(f.get(), workload.catalog, num_requests, path));
-  if (num_requests > 0 &&
-      std::fwrite(workload.requests.data(), sizeof(Request),
-                  workload.requests.size(),
-                  f.get()) != workload.requests.size()) {
-    return util::Status::IoError("short write: " + path);
-  }
-  if (std::fclose(f.release()) != 0) {
-    return util::Status::IoError("close failed: " + path);
-  }
-  return util::Status::Ok();
-}
-
-util::Status WriteTraceV1(const Workload& workload, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open for write: " + path);
-  }
-  if (std::fwrite(kMagic, 1, 4, f.get()) != 4) {
-    return util::Status::IoError("short write: " + path);
-  }
-  const uint32_t num_objects = workload.catalog.num_objects();
-  const uint32_t num_servers = workload.catalog.num_servers();
-  const uint64_t num_requests = workload.requests.size();
-  if (!WriteOne(f.get(), kTraceVersion1) || !WriteOne(f.get(), num_objects) ||
-      !WriteOne(f.get(), num_servers) || !WriteOne(f.get(), num_requests)) {
-    return util::Status::IoError("short write: " + path);
-  }
-  for (ObjectId id = 0; id < num_objects; ++id) {
-    const uint64_t size = workload.catalog.size(id);
-    const uint32_t server = workload.catalog.server(id);
-    if (!WriteOne(f.get(), size) || !WriteOne(f.get(), server)) {
-      return util::Status::IoError("short write: " + path);
-    }
-  }
-  for (const Request& req : workload.requests) {
-    if (!WriteOne(f.get(), req.time) || !WriteOne(f.get(), req.client) ||
-        !WriteOne(f.get(), req.object)) {
-      return util::Status::IoError("short write: " + path);
-    }
-  }
-  return util::Status::Ok();
+      writer->Append(workload.requests.data(), workload.requests.size()));
+  return writer->Close();
 }
 
 util::StatusOr<Workload> ReadTrace(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open for read: " + path);
-  }
-  ParsedHeader h;
+  CASCACHE_ASSIGN_OR_RETURN(std::unique_ptr<MappedTrace> mapped,
+                            MappedTrace::Open(path));
   Workload workload;
-  CASCACHE_RETURN_IF_ERROR(
-      ReadHeaderAndCatalog(f.get(), path, &h, &workload.catalog));
-
-  // Check the declared record count against the actual file size before
-  // allocating, so a corrupt header cannot trigger a huge allocation
-  // and truncation is reported deterministically.
-  if (fseeko(f.get(), 0, SEEK_END) != 0) {
-    return util::Status::IoError("seek failed: " + path);
-  }
-  const uint64_t file_bytes = static_cast<uint64_t>(ftello(f.get()));
-  if (file_bytes <
-      h.request_offset + sizeof(Request) * h.num_requests) {
-    return util::Status::IoError("truncated request stream: " + path);
-  }
-  if (fseeko(f.get(), static_cast<off_t>(h.request_offset), SEEK_SET) != 0) {
-    return util::Status::IoError("seek failed: " + path);
-  }
-
-  // Both versions store requests as contiguous 16-byte records matching
-  // the in-memory Request layout, so the stream is read in bulk.
-  workload.requests.resize(h.num_requests);
-  if (h.num_requests > 0 &&
-      std::fread(workload.requests.data(), sizeof(Request), h.num_requests,
-                 f.get()) != h.num_requests) {
-    return util::Status::IoError("truncated request stream: " + path);
-  }
+  workload.catalog = mapped->catalog();
+  const uint32_t num_objects = workload.catalog.num_objects();
+  workload.requests.reserve(mapped->requests().size());
   double prev_time = -1.0;
-  for (const Request& req : workload.requests) {
-    if (req.object >= h.num_objects) {
-      return util::Status::InvalidArgument("object id out of range");
-    }
-    if (req.time < prev_time) {
-      return util::Status::InvalidArgument(
-          "request timestamps not sorted in trace");
-    }
-    prev_time = req.time;
+  for (const Request& req : mapped->requests()) {
+    CASCACHE_RETURN_IF_ERROR(CheckRequest(req, num_objects, &prev_time));
+    workload.requests.push_back(req);
   }
   return workload;
 }
 
-util::Status WriteTraceCsv(const Workload& workload,
-                           const std::string& path) {
+util::Status WriteTraceCsv(const WorkloadView& view, const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "w"));
   if (f == nullptr) {
     return util::Status::IoError("cannot open for write: " + path);
   }
   std::fputs("time,client,object,size,server\n", f.get());
-  for (const Request& req : workload.requests) {
+  const uint32_t num_objects = view.catalog->num_objects();
+  double prev_time = -1.0;
+  for (size_t i = 0; i < view.requests.size(); ++i) {
+    const Request& req = view.requests[i];
+    CASCACHE_RETURN_IF_ERROR(CheckRequest(req, num_objects, &prev_time));
     if (std::fprintf(f.get(), "%.6f,%u,%u,%llu,%u\n", req.time, req.client,
                      req.object,
                      static_cast<unsigned long long>(
-                         workload.catalog.size(req.object)),
-                     workload.catalog.server(req.object)) < 0) {
+                         view.catalog->size(req.object)),
+                     view.catalog->server(req.object)) < 0) {
       return util::Status::IoError("short write: " + path);
     }
+    if (view.on_consumed && (i + 1) % kScanBlock == 0) {
+      view.on_consumed(i + 1);
+    }
+  }
+  if (std::fclose(f.release()) != 0) {
+    return util::Status::IoError("close failed: " + path);
   }
   return util::Status::Ok();
 }
@@ -476,14 +323,7 @@ util::Status TraceWriter::Append(const Request* batch, size_t count) {
     return util::Status::FailedPrecondition("trace writer already closed");
   }
   for (size_t i = 0; i < count; ++i) {
-    if (batch[i].object >= num_objects_) {
-      return util::Status::InvalidArgument("object id out of range");
-    }
-    if (batch[i].time < prev_time_) {
-      return util::Status::InvalidArgument(
-          "request timestamps not sorted in trace");
-    }
-    prev_time_ = batch[i].time;
+    CASCACHE_RETURN_IF_ERROR(CheckRequest(batch[i], num_objects_, &prev_time_));
   }
   if (count > 0 &&
       std::fwrite(batch, sizeof(Request), count, file_) != count) {
@@ -511,87 +351,6 @@ util::Status TraceWriter::Close() {
   return status;
 }
 
-TraceReader::~TraceReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-util::StatusOr<std::unique_ptr<TraceReader>> TraceReader::Open(
-    const std::string& path) {
-  return Open(path, Options{});
-}
-
-util::StatusOr<std::unique_ptr<TraceReader>> TraceReader::Open(
-    const std::string& path, const Options& options) {
-  std::unique_ptr<TraceReader> reader(new TraceReader());
-  reader->file_ = std::fopen(path.c_str(), "rb");
-  if (reader->file_ == nullptr) {
-    return util::Status::IoError("cannot open for read: " + path);
-  }
-  ParsedHeader h;
-  CASCACHE_RETURN_IF_ERROR(
-      ReadHeaderAndCatalog(reader->file_, path, &h, &reader->catalog_));
-  reader->version_ = h.version;
-  reader->num_requests_ = h.num_requests;
-  if (options.buffer_bytes > 0) {
-    // Round up to whole records so Refill never splits one.
-    const size_t records = std::max<size_t>(
-        1, options.buffer_bytes / sizeof(Request));
-    reader->buf_.resize(records * sizeof(Request));
-  }
-  return reader;
-}
-
-util::Status TraceReader::Refill() {
-  const size_t tail = buf_len_ - buf_pos_;
-  if (tail > 0) {
-    std::memmove(buf_.data(), buf_.data() + buf_pos_, tail);
-  }
-  buf_pos_ = 0;
-  buf_len_ = tail;
-  // Never read past the declared request region (a v1 file could in
-  // principle carry trailing data).
-  const uint64_t remaining_bytes =
-      (num_requests_ - requests_read_) * sizeof(Request) - tail;
-  const size_t want = static_cast<size_t>(
-      std::min<uint64_t>(buf_.size() - buf_len_, remaining_bytes));
-  const size_t got = std::fread(buf_.data() + buf_len_, 1, want, file_);
-  buf_len_ += got;
-  return util::Status::Ok();
-}
-
-util::StatusOr<bool> TraceReader::Next(Request* request) {
-  CASCACHE_CHECK(request != nullptr);
-  if (requests_read_ >= num_requests_) return false;
-  if (buf_.empty()) {
-    // Legacy unbuffered path: one fread per field. Kept selectable via
-    // Options::buffer_bytes = 0 so the buffering win stays measurable.
-    if (!ReadOne(file_, &request->time) ||
-        !ReadOne(file_, &request->client) ||
-        !ReadOne(file_, &request->object)) {
-      return util::Status::IoError("truncated request stream");
-    }
-  } else {
-    if (buf_len_ - buf_pos_ < sizeof(Request)) {
-      CASCACHE_RETURN_IF_ERROR(Refill());
-      if (buf_len_ - buf_pos_ < sizeof(Request)) {
-        return util::Status::IoError("truncated request stream");
-      }
-    }
-    std::memcpy(request, buf_.data() + buf_pos_, sizeof(Request));
-    buf_pos_ += sizeof(Request);
-  }
-  if (request->object >= catalog_.num_objects()) {
-    return util::Status::InvalidArgument("object id out of range");
-  }
-  if (request->time < prev_time_) {
-    return util::Status::InvalidArgument(
-        "request timestamps not sorted in trace");
-  }
-  prev_time_ = request->time;
-  ++requests_read_;
-  return true;
-}
-
 TraceStats ComputeTraceStats(const Workload& workload) {
   std::vector<uint64_t> counts = CountAccesses(workload);
   std::vector<bool> client_seen;
@@ -615,11 +374,13 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path) {
 
 util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
                                             const SummarizeOptions& options) {
-  CASCACHE_ASSIGN_OR_RETURN(std::unique_ptr<TraceReader> reader,
-                            TraceReader::Open(path));
+  CASCACHE_ASSIGN_OR_RETURN(std::unique_ptr<MappedTrace> mapped,
+                            MappedTrace::Open(path));
   TraceSummary summary;
-  summary.format_version = reader->version();
-  const ObjectCatalog& catalog = reader->catalog();
+  summary.format_version = mapped->version();
+  summary.file_bytes = mapped->file_bytes();
+  const ObjectCatalog& catalog = mapped->catalog();
+  const RequestSpan requests = mapped->requests();
 
   // Per-object access counts: dense vector up to 2^26 objects, hash map
   // over the referenced ids above (a 10^8-object dense vector would be
@@ -633,9 +394,8 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
   // Per-epoch Zipf slope: requests are split into `epochs` equal-count
   // windows; each window's counts are accumulated separately (bounded by
   // the window's request count) and reduced to a slope at the boundary.
-  const uint64_t declared_requests = reader->num_requests();
-  const uint32_t epochs =
-      declared_requests > 0 ? options.epochs : 0;
+  const uint64_t num_requests = requests.size();
+  const uint32_t epochs = num_requests > 0 ? options.epochs : 0;
   std::unordered_map<ObjectId, uint64_t> window_counts;
   uint32_t current_epoch = 0;
   const auto flush_epoch = [&]() {
@@ -656,14 +416,13 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
   uint64_t gaps = 0;
   double gap_mean = 0.0, gap_m2 = 0.0;
   double gap_min = 0.0, gap_max = 0.0;
-  double prev_time = 0.0;
-  bool first = true;
+  double prev_time = -1.0;
 
-  Request req;
-  uint64_t r = 0;
-  while (true) {
-    CASCACHE_ASSIGN_OR_RETURN(const bool more, reader->Next(&req));
-    if (!more) break;
+  for (uint64_t r = 0; r < num_requests; ++r) {
+    const Request& req = requests[r];
+    const double gap = req.time - prev_time;  // Before CheckRequest moves it.
+    CASCACHE_RETURN_IF_ERROR(
+        CheckRequest(req, catalog.num_objects(), &prev_time));
     if (dense_counts) {
       ++counts[req.object];
     } else {
@@ -671,7 +430,7 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
     }
     if (epochs > 0) {
       const uint32_t epoch = static_cast<uint32_t>(std::min<uint64_t>(
-          epochs - 1, r * epochs / declared_requests));
+          epochs - 1, r * epochs / num_requests));
       if (epoch != current_epoch) {
         flush_epoch();
         current_epoch = epoch;
@@ -684,8 +443,7 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
     }
     client_seen[req.client] = true;
     duration = req.time;
-    if (!first) {
-      const double gap = req.time - prev_time;
+    if (r > 0) {
       ++gaps;
       const double delta = gap - gap_mean;
       gap_mean += delta / static_cast<double>(gaps);
@@ -693,22 +451,21 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
       gap_min = gaps == 1 ? gap : std::min(gap_min, gap);
       gap_max = gaps == 1 ? gap : std::max(gap_max, gap);
     }
-    prev_time = req.time;
-    first = false;
-    ++r;
+    if ((r + 1) % kScanBlock == 0) mapped->ReleaseUpTo(r + 1);
   }
-  if (epochs > 0 && r > 0) flush_epoch();
+  mapped->ReleaseUpTo(num_requests);
+  if (epochs > 0 && num_requests > 0) flush_epoch();
 
   const uint32_t clients_active = static_cast<uint32_t>(
       std::count(client_seen.begin(), client_seen.end(), true));
   if (dense_counts) {
     summary.stats =
-        StatsFromCounts(catalog, counts, reader->requests_read(), duration,
+        StatsFromCounts(catalog, counts, num_requests, duration,
                         total_bytes, clients_active);
   } else {
     // Sparse reduction: only referenced objects carry counts.
     TraceStats stats;
-    stats.num_requests = reader->requests_read();
+    stats.num_requests = num_requests;
     stats.num_objects = catalog.num_objects();
     stats.duration_seconds = duration;
     stats.mean_object_size = catalog.mean_size();
@@ -773,10 +530,9 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
     }
   }
   std::sort(weighted.begin(), weighted.end());
-  const uint64_t total_requests = reader->requests_read();
   auto weighted_percentile = [&](double pct) -> uint64_t {
-    if (weighted.empty() || total_requests == 0) return 0;
-    const double threshold = pct / 100.0 * static_cast<double>(total_requests);
+    if (weighted.empty() || num_requests == 0) return 0;
+    const double threshold = pct / 100.0 * static_cast<double>(num_requests);
     uint64_t cum = 0;
     for (const auto& [size, count] : weighted) {
       cum += count;
@@ -787,12 +543,6 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
   summary.req_size_p50 = weighted_percentile(50.0);
   summary.req_size_p90 = weighted_percentile(90.0);
   summary.req_size_p99 = weighted_percentile(99.0);
-
-  // File size (informational).
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f != nullptr && fseeko(f.get(), 0, SEEK_END) == 0) {
-    summary.file_bytes = static_cast<uint64_t>(ftello(f.get()));
-  }
   return summary;
 }
 

@@ -11,64 +11,77 @@
 
 namespace cascache::trace {
 
-/// Binary trace file IO (little-endian throughout). Two format versions:
+/// Binary trace file IO (little-endian throughout). Two format versions
+/// share one fixed 32-byte header:
 ///
-/// v1 (legacy, still readable):
-///   magic "CCTR" | uint32 version=1 | uint32 num_objects |
-///   uint32 num_servers | uint64 num_requests |
-///   per object: uint64 size, uint32 server |
-///   per request: double time, uint32 client, uint32 object
+///   magic "CCTR" | uint32 version | uint32 num_objects |
+///   uint32 num_servers | uint64 num_requests | uint64 request_offset
 ///
-/// v2 (current, mmap-able):
-///   fixed 32-byte header:
-///     magic "CCTR" | uint32 version=2 | uint32 num_objects |
-///     uint32 num_servers | uint64 num_requests | uint64 request_offset
-///   catalog at byte 32: per object uint64 size, uint32 server
-///   zero padding up to request_offset (a multiple of 4096, so the
-///   request region starts page-aligned)
-///   request region: num_requests fixed-width 16-byte records, each the
-///   in-memory layout of trace::Request (double time, uint32 client,
-///   uint32 object) — MappedTrace (mapped_trace.h) overlays this region
-///   directly as a Request array.
-///
-/// v3 (procedural catalog, mmap-able):
-///   same 32-byte header as v2 with version=3, followed at byte 32 by a
-///   64-byte CatalogModel block (object_catalog.h) instead of per-object
-///   entries: the catalog is regenerated from the model on load
+/// v2 (materialized catalog): per object uint64 size, uint32 server at
+///   byte 32.
+/// v3 (procedural catalog): a 64-byte CatalogModel block
+///   (object_catalog.h) at byte 32 instead of per-object entries; the
+///   catalog is regenerated from the model on load
 ///   (ObjectCatalog::BuildProcedural), so a 10^8-object trace costs 64
-///   bytes of catalog on disk and a 64 KiB quantile table in RAM. Zero
-///   padding and the page-aligned request region are identical to v2.
+///   bytes of catalog on disk and a 64 KiB quantile table in RAM.
+///
+/// Both then zero-pad up to request_offset (a multiple of 4096, so the
+/// request region starts page-aligned), followed by num_requests
+/// fixed-width 16-byte records, each the in-memory layout of
+/// trace::Request (double time, uint32 client, uint32 object).
+///
+/// TraceWriter is the only code that writes this layout and
+/// MappedTrace::Open (mapped_trace.h) the only code that parses it: every
+/// reader below maps the file and overlays the request region directly
+/// as a Request array. The legacy v1 layout (24-byte header, unaligned
+/// request region) is rejected like any other unsupported version.
 ///
 /// The format exists so users can substitute a real proxy trace (e.g. a
 /// Boeing-style log converted offline via ConvertCsvTrace) for the
 /// synthetic workload, and so paper-scale (22M+) traces replay without
 /// being materialized in RAM.
-constexpr uint32_t kTraceVersion1 = 1;
 constexpr uint32_t kTraceVersion2 = 2;
 constexpr uint32_t kTraceVersion3 = 3;
-/// Alignment of the v2 request region within the file.
+/// Alignment of the request region within the file.
 constexpr uint64_t kTraceRequestAlign = 4096;
-/// Byte size of the fixed v2 header.
+/// Byte size of the fixed header.
 constexpr uint64_t kTraceV2HeaderBytes = 32;
 
-/// Writes `workload` in the current format: v2, or v3 when the catalog
-/// is procedural (catalog.procedural()).
+/// The per-record invariant the writer and every reader enforce: object
+/// id inside a catalog of `num_objects`, timestamps non-decreasing.
+/// `prev_time` carries the previous record's time (start it at -1).
+inline util::Status CheckRequest(const Request& req, uint32_t num_objects,
+                                 double* prev_time) {
+  if (req.object >= num_objects) {
+    return util::Status::InvalidArgument("object id out of range");
+  }
+  if (req.time < *prev_time) {
+    return util::Status::InvalidArgument(
+        "request timestamps not sorted in trace");
+  }
+  *prev_time = req.time;
+  return util::Status::Ok();
+}
+
+/// Writes `workload` through a TraceWriter: v2, or v3 when the catalog is
+/// procedural (catalog.procedural()).
 util::Status WriteTrace(const Workload& workload, const std::string& path);
 
-/// Writes `workload` in the legacy v1 format. Kept so compatibility
-/// tests and tooling can produce v1 inputs; new traces should be v2.
-util::Status WriteTraceV1(const Workload& workload, const std::string& path);
-
-/// Reads a trace written by WriteTrace/WriteTraceV1 (either version).
-/// Validates magic, version, bounds of every record (object/client ids,
-/// monotonically non-decreasing timestamps) and truncation.
+/// Loads a whole trace into RAM: MappedTrace::Open, then one pass that
+/// checks every record (CheckRequest) while copying it out of the
+/// mapping. Prefer MappedTrace for replay; this is for tools and tests
+/// that want an owning Workload.
 util::StatusOr<Workload> ReadTrace(const std::string& path);
 
-/// Writes the request stream as CSV ("time,client,object,size,server")
-/// for external analysis; the catalog is embedded per-row. Timestamps
-/// are rounded to microseconds, so CSV is an interchange format, not a
-/// bit-exact round-trip of the binary trace.
-util::Status WriteTraceCsv(const Workload& workload, const std::string& path);
+/// Writes the request stream of `view` as CSV
+/// ("time,client,object,size,server") for external analysis; the catalog
+/// is embedded per-row. Each record is checked (CheckRequest) before its
+/// row is written, so a corrupt mapped trace fails with a Status. Calls
+/// view.on_consumed as it goes, so a MappedTrace::StreamingView exports
+/// in O(1) resident memory. Timestamps are rounded to microseconds, so
+/// CSV is an interchange format, not a bit-exact round-trip of the binary
+/// trace.
+util::Status WriteTraceCsv(const WorkloadView& view, const std::string& path);
 
 /// Converts a CSV request log in the WriteTraceCsv column layout
 /// ("time,client,object,size,server", optional header row) into a v2
@@ -80,7 +93,7 @@ util::Status WriteTraceCsv(const Workload& workload, const std::string& path);
 util::Status ConvertCsvTrace(const std::string& csv_path,
                              const std::string& out_path);
 
-/// Streaming writer for v2 traces: the catalog is written up front and
+/// Streaming writer for v2/v3 traces: the catalog is written up front and
 /// requests are appended in bounded blocks, so arbitrarily long traces
 /// are produced in O(1) resident memory. If the final request count
 /// differs from `expected_requests`, Close() patches the header.
@@ -96,8 +109,7 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
   ~TraceWriter();
 
-  /// Appends `count` records. Validates object-id range and monotone
-  /// timestamps (same invariants the readers enforce).
+  /// Appends `count` records, each checked by CheckRequest.
   util::Status Append(const Request* batch, size_t count);
   util::Status Append(const Request& request) { return Append(&request, 1); }
 
@@ -120,52 +132,6 @@ class TraceWriter {
   bool closed_ = false;
 };
 
-/// Streaming reader for trace files (v1 and v2): loads the catalog
-/// eagerly (it is small) and yields requests one at a time, so
-/// multi-gigabyte traces replay in constant memory. Performs the same
-/// validation as ReadTrace. Reads the request region through an
-/// internal block buffer; Options::buffer_bytes = 0 selects the legacy
-/// one-fread-per-field path (kept for the buffering micro-bench).
-class TraceReader {
- public:
-  struct Options {
-    size_t buffer_bytes = 256 * 1024;
-  };
-
-  static util::StatusOr<std::unique_ptr<TraceReader>> Open(
-      const std::string& path);
-  static util::StatusOr<std::unique_ptr<TraceReader>> Open(
-      const std::string& path, const Options& options);
-
-  TraceReader(const TraceReader&) = delete;
-  TraceReader& operator=(const TraceReader&) = delete;
-  ~TraceReader();
-
-  const ObjectCatalog& catalog() const { return catalog_; }
-  uint64_t num_requests() const { return num_requests_; }
-  uint64_t requests_read() const { return requests_read_; }
-  uint32_t version() const { return version_; }
-
-  /// Reads the next request into `request`. Returns true on success,
-  /// false at end of stream, or an error Status on corruption.
-  util::StatusOr<bool> Next(Request* request);
-
- private:
-  TraceReader() = default;
-
-  util::Status Refill();
-
-  std::FILE* file_ = nullptr;
-  ObjectCatalog catalog_;
-  uint32_t version_ = 0;
-  uint64_t num_requests_ = 0;
-  uint64_t requests_read_ = 0;
-  double prev_time_ = -1.0;
-  std::vector<unsigned char> buf_;
-  size_t buf_pos_ = 0;
-  size_t buf_len_ = 0;
-};
-
 /// Summary statistics of a workload, for trace inspection tools.
 struct TraceStats {
   uint64_t num_requests = 0;
@@ -184,10 +150,11 @@ struct TraceStats {
 TraceStats ComputeTraceStats(const Workload& workload);
 
 /// Extended, logstats-style summary of an on-disk trace, computed in
-/// one streaming pass. Memory is bounded: above 2^26 catalog objects the
-/// per-object access counts switch from a dense vector to a hash map
-/// keyed by the referenced ids only, so 10^8-object (v3) traces
-/// summarize within the scale-smoke RSS budget.
+/// one pass over the mapping that checks every record (CheckRequest) and
+/// releases scanned pages as it goes. Memory is bounded: above 2^26
+/// catalog objects the per-object access counts switch from a dense
+/// vector to a hash map keyed by the referenced ids only, so 10^8-object
+/// (v3) traces summarize within the scale-smoke RSS budget.
 struct TraceSummary {
   TraceStats stats;
   uint32_t format_version = 0;

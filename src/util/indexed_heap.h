@@ -57,8 +57,13 @@ class DensePosMap {
       return;
     }
     if (key >= pos_.size()) {
+      // After Clear() refill the kept capacity rather than doubling past
+      // it (see SlotIndex::Set in cache/flat_store.h).
       const size_t target =
-          std::max<size_t>(static_cast<size_t>(key) + 1, pos_.size() * 2);
+          key < pos_.capacity()
+              ? pos_.capacity()
+              : std::max<size_t>(static_cast<size_t>(key) + 1,
+                                 pos_.size() * 2);
       pos_.resize(target, kHeapNpos);
     }
     pos_[key] = pos;

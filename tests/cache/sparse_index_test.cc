@@ -100,6 +100,18 @@ TEST(SparseSlotIndexTest, DenseModeUnchangedByDefault) {
   EXPECT_GE(index.span(), 4u);
 }
 
+TEST(SparseSlotIndexTest, DenseRefillAfterClearKeepsCapacity) {
+  SlotIndex index;
+  index.Set(999, 1);
+  const size_t span_before = index.span();
+  index.Clear();
+  // Doubling from id 10 would pass the kept capacity at id 600.
+  for (const trace::ObjectId id : {10u, 600u, 999u}) index.Set(id, id);
+  EXPECT_EQ(index.span(), span_before);
+  EXPECT_EQ(index.Get(600), 600u);
+  EXPECT_EQ(index.Get(11), kNoSlot);
+}
+
 }  // namespace
 }  // namespace cascache::cache
 

@@ -167,21 +167,5 @@ TEST_F(MappedReplayTest, ParallelCellsShareOneMappingDeterministically) {
   ExpectMatchesGolden(*results_or);
 }
 
-TEST_F(MappedReplayTest, V1TraceFallsBackToInRamLoad) {
-  const std::string v1_path = ::testing::TempDir() + "/mapped_replay_v1.cctr";
-  auto workload_or = trace::GenerateWorkload(GoldenWorkloadParams());
-  ASSERT_TRUE(workload_or.ok());
-  ASSERT_TRUE(trace::WriteTraceV1(*workload_or, v1_path).ok());
-
-  auto runner_or =
-      sim::ExperimentRunner::CreateFromTrace(EnrouteAllConfig(), v1_path);
-  ASSERT_TRUE(runner_or.ok()) << runner_or.status();
-  EXPECT_EQ((*runner_or)->mapped_trace(), nullptr);
-  auto results_or = (*runner_or)->RunAll();
-  ASSERT_TRUE(results_or.ok()) << results_or.status();
-  ExpectMatchesGolden(*results_or);
-  std::remove(v1_path.c_str());
-}
-
 }  // namespace
 }  // namespace cascache

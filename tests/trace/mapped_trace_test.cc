@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/experiment.h"
 #include "trace/trace_io.h"
 
 namespace cascache::trace {
@@ -93,74 +94,115 @@ TEST_F(MappedTraceTest, RejectsMissingFile) {
   EXPECT_EQ(mapped_or.status().code(), util::StatusCode::kIoError);
 }
 
-TEST_F(MappedTraceTest, RejectsV1WithHelpfulMessage) {
-  const std::string path = TempPath("v1.cctr");
-  ASSERT_TRUE(WriteTraceV1(SmallWorkload(), path).ok());
-  auto mapped_or = MappedTrace::Open(path);
-  ASSERT_FALSE(mapped_or.ok());
-  EXPECT_EQ(mapped_or.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(mapped_or.status().message().find("not mmap-able"),
-            std::string::npos)
-      << mapped_or.status();
-  std::remove(path.c_str());
+// --- Malformed files ---------------------------------------------------
+//
+// One table of header/catalog corruptions. Every row runs through all
+// four entry points that open a .cctr file — MappedTrace::Open,
+// ReadTrace, SummarizeTrace and ExperimentRunner::CreateFromTrace — and
+// each must answer it with the same error Status, never a crash.
+
+template <typename T>
+void AppendField(std::string* bytes, T value) {
+  bytes->append(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-TEST_F(MappedTraceTest, RejectsBadMagic) {
-  const std::string path = TempPath("badmagic.cctr");
-  Spit(path, "NOPE this is not a trace file, but it is long enough to map");
-  auto mapped_or = MappedTrace::Open(path);
-  ASSERT_FALSE(mapped_or.ok());
-  EXPECT_NE(mapped_or.status().message().find("bad magic"),
-            std::string::npos)
-      << mapped_or.status();
-  std::remove(path.c_str());
+std::string PatchU64(std::string bytes, size_t offset, uint64_t value) {
+  return bytes.replace(offset, sizeof(value),
+                       reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-TEST_F(MappedTraceTest, RejectsShortMapping) {
-  const std::string path = WriteSmallV2("short.cctr");
-  const std::string bytes = Slurp(path);
-  // Keep the header+catalog but cut the request region short: the file
-  // is now shorter than the header's num_requests claims.
-  Spit(path, bytes.substr(0, bytes.size() - 4096));
-  auto mapped_or = MappedTrace::Open(path);
-  ASSERT_FALSE(mapped_or.ok());
-  EXPECT_NE(mapped_or.status().message().find("shorter than its header"),
-            std::string::npos)
-      << mapped_or.status();
-  std::remove(path.c_str());
+/// A complete trace in the retired v1 layout (24-byte header, catalog,
+/// then the request region at an unaligned offset), field by field.
+std::string V1Trace() {
+  std::string bytes = "CCTR";
+  AppendField<uint32_t>(&bytes, 1);    // version
+  AppendField<uint32_t>(&bytes, 1);    // num_objects
+  AppendField<uint32_t>(&bytes, 1);    // num_servers
+  AppendField<uint64_t>(&bytes, 1);    // num_requests
+  AppendField<uint64_t>(&bytes, 100);  // object 0: size
+  AppendField<uint32_t>(&bytes, 0);    //           server
+  AppendField<double>(&bytes, 0.0);    // request 0: time
+  AppendField<uint32_t>(&bytes, 0);    //            client
+  AppendField<uint32_t>(&bytes, 0);    //            object
+  return bytes;
 }
 
-TEST_F(MappedTraceTest, RejectsTruncatedHeader) {
-  const std::string path = WriteSmallV2("hdr.cctr");
-  const std::string bytes = Slurp(path);
-  Spit(path, bytes.substr(0, 10));
-  EXPECT_FALSE(MappedTrace::Open(path).ok());
-  std::remove(path.c_str());
-}
+struct CorruptionCase {
+  /// Registered as MappedTraceTest.<test_name>.
+  const char* test_name;
+  /// Turns the bytes of a valid v2 trace into the malformed file.
+  std::string (*corrupt)(std::string valid);
+  util::StatusCode code;
+  /// Substring every entry point's error message must contain.
+  const char* message;
+};
 
-TEST_F(MappedTraceTest, RejectsUnalignedRequestOffset) {
-  const std::string path = WriteSmallV2("unaligned.cctr");
-  std::string bytes = Slurp(path);
-  // Corrupt request_offset (byte 24) to a non-page-aligned value.
-  uint64_t bogus_offset = 4097;
-  std::memcpy(bytes.data() + 24, &bogus_offset, sizeof(bogus_offset));
-  Spit(path, bytes);
-  auto mapped_or = MappedTrace::Open(path);
-  ASSERT_FALSE(mapped_or.ok());
-  EXPECT_EQ(mapped_or.status().code(), util::StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
+// Header layout: magic @0, version @4, num_objects @8, num_servers @12,
+// num_requests @16, request_offset @24, catalog @32.
+const CorruptionCase kCorruptionCases[] = {
+    {"RejectsBadMagic",
+     [](std::string b) { return b.replace(0, 4, "NOPE"); },
+     util::StatusCode::kIoError, "bad magic"},
+    {"RejectsTruncatedHeader", [](std::string b) { return b.substr(0, 10); },
+     util::StatusCode::kIoError, "truncated header"},
+    {"RejectsUnalignedRequestOffset",
+     [](std::string b) { return PatchU64(std::move(b), 24, 4097); },
+     util::StatusCode::kInvalidArgument, "not page-aligned"},
+    {"RejectsOverlappingRequestRegion",
+     [](std::string b) { return PatchU64(std::move(b), 24, 0); },
+     util::StatusCode::kInvalidArgument, "overlaps catalog"},
+    {"RejectsCorruptCatalog",  // Object 0's size zeroed.
+     [](std::string b) { return PatchU64(std::move(b), 32, 0); },
+     util::StatusCode::kInvalidArgument, "zero-size object"},
+    {"RejectsShortMapping",  // Request region cut short.
+     [](std::string b) { return b.substr(0, b.size() - 4096); },
+     util::StatusCode::kIoError, "shorter than its header"},
+    {"RejectsHostileRequestCount",  // 16 * 2^60 wraps to 0 in a product.
+     [](std::string b) { return PatchU64(std::move(b), 16, 1ULL << 60); },
+     util::StatusCode::kIoError, "shorter than its header"},
+    {"RejectsVersion1Header", [](std::string) { return V1Trace(); },
+     util::StatusCode::kInvalidArgument, "unsupported trace version"},
+};
 
-TEST_F(MappedTraceTest, RejectsCorruptCatalog) {
-  const std::string path = WriteSmallV2("cat.cctr");
-  std::string bytes = Slurp(path);
-  // Zero out the first catalog entry's size (byte 32): invalid object.
-  uint64_t zero = 0;
-  std::memcpy(bytes.data() + 32, &zero, sizeof(zero));
-  Spit(path, bytes);
-  EXPECT_FALSE(MappedTrace::Open(path).ok());
-  std::remove(path.c_str());
-}
+class CorruptTraceTest : public MappedTraceTest {
+ public:
+  explicit CorruptTraceTest(const CorruptionCase& c) : case_(c) {}
+
+  void TestBody() override {
+    const std::string path = WriteSmallV2(std::string(case_.test_name) +
+                                          ".cctr");
+    Spit(path, case_.corrupt(Slurp(path)));
+    ExpectRejected("MappedTrace::Open", MappedTrace::Open(path).status());
+    ExpectRejected("ReadTrace", ReadTrace(path).status());
+    ExpectRejected("SummarizeTrace", SummarizeTrace(path).status());
+    sim::ExperimentConfig config;
+    config.schemes.resize(1);
+    ExpectRejected(
+        "ExperimentRunner::CreateFromTrace",
+        sim::ExperimentRunner::CreateFromTrace(config, path).status());
+    std::remove(path.c_str());
+  }
+
+ private:
+  void ExpectRejected(const char* entry_point, const util::Status& status) {
+    SCOPED_TRACE(entry_point);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), case_.code) << status;
+    EXPECT_NE(status.message().find(case_.message), std::string::npos)
+        << status;
+  }
+
+  const CorruptionCase& case_;
+};
+
+const bool kCorruptionCasesRegistered = [] {
+  for (const CorruptionCase& c : kCorruptionCases) {
+    ::testing::RegisterTest(
+        "MappedTraceTest", c.test_name, nullptr, nullptr, __FILE__, __LINE__,
+        [&c]() -> MappedTraceTest* { return new CorruptTraceTest(c); });
+  }
+  return true;
+}();
 
 TEST_F(MappedTraceTest, ValidateAcceptsGoodAndRejectsCorruptRecords) {
   const std::string path = WriteSmallV2("validate.cctr");

@@ -74,8 +74,7 @@ util::StatusOr<schemes::SchemeSpec> ParseScheme(const std::string& name,
 
 util::Status RunMain(int argc, char** argv) {
   util::FlagParser flags;
-  std::string arch, schemes_text, cache_text, cost, coherency, trace_path,
-      save_trace;
+  std::string arch, schemes_text, cache_text, cost, coherency, save_trace;
   uint64_t requests, objects, clients, servers, seed;
   int64_t radius;
   double theta, dcache_ratio, warmup, ttl, mutable_fraction, update_period,
@@ -97,15 +96,12 @@ util::Status RunMain(int argc, char** argv) {
   flags.AddUint64("servers", 200, "origin server count", &servers);
   flags.AddDouble("theta", 0.8, "Zipf exponent of object popularity", &theta);
   flags.AddUint64("seed", 42, "workload seed", &seed);
-  flags.AddString("trace", "",
-                  "deprecated alias of --trace-in",
-                  &trace_path);
   std::string trace_in, trace_out;
   bool trace_stream_release;
   flags.AddString("trace-in", "",
                   "replay a saved .cctr binary trace instead of generating "
-                  "one (v2/v3 are mmap'd and shared across sweep cells; v1 "
-                  "loads in RAM; env: CASCACHE_TRACE_IN)",
+                  "one (v2/v3, mmap'd and shared across sweep cells; env: "
+                  "CASCACHE_TRACE_IN)",
                   &trace_in);
   flags.AddString("trace-out", "",
                   "stream-generate the synthetic workload to this binary "
@@ -565,9 +561,7 @@ util::Status RunMain(int argc, char** argv) {
   config.sim.contention.arrival_diurnal_period = arrival_diurnal_period;
   CASCACHE_RETURN_IF_ERROR(config.sim.contention.Validate());
 
-  // Trace in/out resolution: explicit flags beat the deprecated --trace
-  // alias beat the environment.
-  if (trace_in.empty()) trace_in = trace_path;
+  // Trace in/out resolution: explicit flags beat the environment.
   if (trace_in.empty()) {
     if (const char* env = std::getenv("CASCACHE_TRACE_IN");
         env != nullptr && env[0] != '\0') {
@@ -608,10 +602,9 @@ util::Status RunMain(int argc, char** argv) {
     CASCACHE_ASSIGN_OR_RETURN(
         runner, sim::ExperimentRunner::CreateFromTrace(config, trace_in));
     const trace::WorkloadView loaded = runner->view();
-    const char* provenance =
-        runner->mapped_trace() == nullptr ? "v1, in RAM"
-        : loaded.catalog->procedural()    ? "v3, mmap, procedural catalog"
-                                          : "v2, mmap";
+    const char* provenance = loaded.catalog->procedural()
+                                 ? "v3, mmap, procedural catalog"
+                                 : "v2, mmap";
     std::fprintf(stderr, "loaded trace %s: %zu requests, %u objects (%s)\n",
                  trace_in.c_str(), loaded.requests.size(),
                  loaded.catalog->num_objects(), provenance);

@@ -7,19 +7,21 @@
 // `convert` ingests the WriteTraceCsv column layout
 // (time,client,object,size,server — the shape a Boeing-style proxy log
 // reduces to) and writes a v2 trace that cascache_sim --trace-in can
-// memory-map. `summarize` streams the trace (any version, including
-// procedural-catalog v3) once in bounded memory and prints
-// cardinalities, the fitted Zipf slope — whole-trace and per epoch, so
-// popularity drift is visible as a windowed-vs-aggregate gap — size
-// percentiles and inter-arrival statistics, so a multi-gigabyte trace
-// can be sanity-checked without loading it.
+// memory-map. `summarize` streams the trace (v2, or procedural-catalog
+// v3) once in bounded memory and prints cardinalities, the fitted Zipf
+// slope — whole-trace and per epoch, so popularity drift is visible as
+// a windowed-vs-aggregate gap — size percentiles and inter-arrival
+// statistics, so a multi-gigabyte trace can be sanity-checked without
+// loading it. `export-csv` writes straight from the mapping.
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
+#include "trace/mapped_trace.h"
 #include "trace/trace_io.h"
 #include "util/status.h"
 
@@ -105,12 +107,12 @@ util::Status RunSummarize(const std::string& path, uint32_t epochs) {
 
 util::Status RunExportCsv(const std::string& trace_path,
                           const std::string& csv_path) {
-  CASCACHE_ASSIGN_OR_RETURN(const trace::Workload workload,
-                            trace::ReadTrace(trace_path));
-  CASCACHE_RETURN_IF_ERROR(trace::WriteTraceCsv(workload, csv_path));
-  std::fprintf(stderr, "exported %s -> %s (%zu requests)\n",
-               trace_path.c_str(), csv_path.c_str(),
-               workload.requests.size());
+  CASCACHE_ASSIGN_OR_RETURN(std::unique_ptr<trace::MappedTrace> mapped,
+                            trace::MappedTrace::Open(trace_path));
+  CASCACHE_RETURN_IF_ERROR(
+      trace::WriteTraceCsv(mapped->StreamingView(), csv_path));
+  std::fprintf(stderr, "exported %s -> %s (%" PRIu64 " requests)\n",
+               trace_path.c_str(), csv_path.c_str(), mapped->num_requests());
   return util::Status::Ok();
 }
 
