@@ -27,41 +27,67 @@ ObjectDescriptor* DCache::Insert(ObjectId id, const ObjectDescriptor& desc) {
   if (const SlotId slot = index_.Get(id); slot != kNoSlot) {
     ObjectDescriptor& stored = pool_.at(slot);
     stored = desc;
-    heap_.Update(id, PriorityOf(desc));
+    heap_.Update(slot, PriorityOf(desc));
     return &stored;
   }
   if (count_ >= capacity_) {
     // Admission: do not displace a higher-priority descriptor.
     if (PriorityOf(desc) < heap_.Top().second) return nullptr;
-    const ObjectId victim = heap_.Pop().first;
-    const SlotId victim_slot = index_.Get(victim);
-    CASCACHE_CHECK(victim_slot != kNoSlot);
+    const SlotId victim_slot = heap_.Pop().first;
+    const ObjectId victim = slot_ids_[victim_slot];
+    CASCACHE_CHECK(index_.Get(victim) == victim_slot);
     index_.Erase(victim);
     pool_.Free(victim_slot);
     --count_;
   }
   const SlotId slot = pool_.Alloc();
+  if (slot >= slot_ids_.size()) slot_ids_.resize(pool_.slot_span());
+  slot_ids_[slot] = id;
   ObjectDescriptor& stored = pool_.at(slot);
   stored = desc;
   index_.Set(id, slot);
-  heap_.Push(id, PriorityOf(desc));
+  heap_.Push(slot, PriorityOf(desc));
   ++count_;
   return &stored;
 }
 
 void DCache::Refresh(ObjectId id, const ObjectDescriptor& desc) {
-  if (!heap_.Contains(id)) return;
-  heap_.Update(id, PriorityOf(desc));
+  const SlotId slot = index_.Get(id);
+  if (slot == kNoSlot) return;
+  heap_.Update(slot, PriorityOf(desc));
+}
+
+ObjectDescriptor* DCache::RecordAccess(ObjectId id,
+                                       const FrequencyEstimator& estimator,
+                                       double now) {
+  const SlotId slot = index_.Get(id);
+  if (slot == kNoSlot) return nullptr;
+  ObjectDescriptor* desc = &pool_.at(slot);
+  estimator.OnAccess(desc, now);
+  heap_.Update(slot, PriorityOf(*desc));
+  return desc;
+}
+
+bool DCache::Take(ObjectId id, ObjectDescriptor* out) {
+  const SlotId slot = index_.Get(id);
+  if (slot == kNoSlot) return false;
+  *out = pool_.at(slot);
+  EraseSlot(id, slot);
+  return true;
 }
 
 bool DCache::Erase(ObjectId id) {
   const SlotId slot = index_.Get(id);
   if (slot == kNoSlot) return false;
+  EraseSlot(id, slot);
+  return true;
+}
+
+void DCache::EraseSlot(ObjectId id, SlotId slot) {
   index_.Erase(id);
   pool_.Free(slot);
   --count_;
-  CASCACHE_CHECK(heap_.Erase(id));
-  return true;
+  CASCACHE_CHECK(heap_.Erase(slot));
 }
 
 void DCache::Clear() {

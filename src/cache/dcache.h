@@ -2,9 +2,11 @@
 #define CASCACHE_CACHE_DCACHE_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "cache/descriptor.h"
 #include "cache/flat_store.h"
+#include "cache/frequency.h"
 #include "util/indexed_heap.h"
 
 namespace cascache::cache {
@@ -29,7 +31,9 @@ enum class DCachePolicy {
 /// table, so Find/Insert/Refresh are O(1) array hops with no hashing and
 /// no per-descriptor allocation; chunks are stable, so returned
 /// ObjectDescriptor pointers survive later insertions. The eviction heap
-/// is keyed by the dense ObjectId space (direct-index position map).
+/// is keyed by pool slot: its position table holds one uint32_t per slot
+/// (bounded by the capacity, whatever the catalog's id space), and a
+/// slot→id array names the victim it pops.
 class DCache {
  public:
   explicit DCache(size_t max_descriptors,
@@ -55,15 +59,25 @@ class DCache {
   /// current state (call after recording an access). No-op if absent.
   void Refresh(ObjectId id, const ObjectDescriptor& desc);
 
+  /// Records an access on a present descriptor through `estimator` and
+  /// refreshes its eviction priority, with one index probe; returns the
+  /// descriptor, or nullptr (and no change) if absent. Same effect as
+  /// Find + estimator.OnAccess + Refresh.
+  ObjectDescriptor* RecordAccess(ObjectId id,
+                                 const FrequencyEstimator& estimator,
+                                 double now);
+
+  /// Moves a present descriptor out into `*out` and erases it, with one
+  /// index probe; returns false (leaving `*out` alone) if absent. Same
+  /// effect as Find + copy + Erase.
+  bool Take(ObjectId id, ObjectDescriptor* out);
+
   bool Erase(ObjectId id);
   void Clear();
 
-  /// Selects sparse id-index/heap storage for huge sparse catalogs (see
-  /// SlotIndex::SetSparse); the d-cache must be empty.
-  void SetSparse(bool sparse) {
-    index_.SetSparse(sparse);
-    heap_.SetSparse(sparse);
-  }
+  /// Selects the id-index storage mode (SlotIndex::SetSparse); the
+  /// d-cache must be empty. The slot-keyed heap needs no mode.
+  void SetSparse(bool sparse) { index_.SetSparse(sparse); }
 
   size_t size() const { return count_; }
   size_t capacity() const { return capacity_; }
@@ -74,14 +88,17 @@ class DCache {
 
  private:
   double PriorityOf(const ObjectDescriptor& desc) const;
+  void EraseSlot(ObjectId id, SlotId slot);
 
   size_t capacity_;
   DCachePolicy policy_;
   ChunkedSlotPool<ObjectDescriptor> pool_;
   SlotIndex index_;
+  /// Pool slot → the id whose descriptor it holds.
+  std::vector<ObjectId> slot_ids_;
   size_t count_ = 0;
-  /// Min-heap on priority: the top is the eviction victim.
-  util::DenseIndexedMinHeap<ObjectId> heap_;
+  /// Min-heap of pool slots on priority: the top is the eviction victim.
+  util::IndexedMinHeap<SlotId, util::SlotPosMap> heap_;
 };
 
 }  // namespace cascache::cache

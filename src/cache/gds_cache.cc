@@ -14,20 +14,13 @@ SlotId GdsCache::AllocSlot() {
   }
   const SlotId slot = static_cast<SlotId>(sizes_.size());
   sizes_.push_back(0);
-  credits_.push_back(0.0);
   return slot;
 }
 
 double GdsCache::CreditOf(ObjectId id) const {
   const SlotId slot = index_.Get(id);
   CASCACHE_CHECK_MSG(slot != kNoSlot, "object not cached");
-  return credits_[slot];
-}
-
-void GdsCache::SetCredit(ObjectId id, SlotId slot, double credit) {
-  order_.erase({credits_[slot], id});
-  credits_[slot] = credit;
-  order_.emplace(credit, id);
+  return order_.KeyOf(slot);
 }
 
 const std::vector<ObjectId>& GdsCache::Insert(ObjectId id, uint64_t size,
@@ -37,31 +30,28 @@ const std::vector<ObjectId>& GdsCache::Insert(ObjectId id, uint64_t size,
   CASCACHE_CHECK(size > 0);
   CASCACHE_CHECK(cost >= 0.0);
   if (const SlotId slot = index_.Get(id); slot != kNoSlot) {
-    SetCredit(id, slot,
-              inflation_ + cost / static_cast<double>(sizes_[slot]));
+    order_.Update(slot, inflation_ + cost / static_cast<double>(sizes_[slot]));
     return evicted_scratch_;
   }
   if (size > capacity_) return evicted_scratch_;
 
   while (used_ + size > capacity_) {
     CASCACHE_CHECK(!order_.empty());
-    const auto [credit, victim] = *order_.begin();
+    const OrderedSlotHeap::Entry victim = order_.Top();
     // Advance the inflation value to the evicted credit (the GDS rule).
-    inflation_ = credit;
-    order_.erase(order_.begin());
-    const SlotId victim_slot = index_.Get(victim);
-    CASCACHE_DCHECK(victim_slot != kNoSlot);
-    used_ -= sizes_[victim_slot];
-    index_.Erase(victim);
-    free_.push_back(victim_slot);
+    inflation_ = victim.key;
+    order_.Pop();
+    CASCACHE_DCHECK(index_.Get(victim.id) == victim.slot);
+    used_ -= sizes_[victim.slot];
+    index_.Erase(victim.id);
+    free_.push_back(victim.slot);
     --count_;
-    evicted_scratch_.push_back(victim);
+    evicted_scratch_.push_back(victim.id);
   }
 
   const SlotId slot = AllocSlot();
   sizes_[slot] = size;
-  credits_[slot] = inflation_ + cost / static_cast<double>(size);
-  order_.emplace(credits_[slot], id);
+  order_.Push(inflation_ + cost / static_cast<double>(size), id, slot);
   index_.Set(id, slot);
   used_ += size;
   ++count_;
@@ -72,14 +62,14 @@ const std::vector<ObjectId>& GdsCache::Insert(ObjectId id, uint64_t size,
 bool GdsCache::OnHit(ObjectId id, double cost) {
   const SlotId slot = index_.Get(id);
   if (slot == kNoSlot) return false;
-  SetCredit(id, slot, inflation_ + cost / static_cast<double>(sizes_[slot]));
+  order_.Update(slot, inflation_ + cost / static_cast<double>(sizes_[slot]));
   return true;
 }
 
 bool GdsCache::Erase(ObjectId id) {
   const SlotId slot = index_.Get(id);
   if (slot == kNoSlot) return false;
-  order_.erase({credits_[slot], id});
+  order_.Erase(slot);
   used_ -= sizes_[slot];
   index_.Erase(id);
   free_.push_back(slot);
@@ -97,7 +87,7 @@ void GdsCache::Clear() {
     free_.push_back(slot);
   }
   index_.Clear();
-  order_.clear();
+  order_.Clear();
   used_ = 0;
   count_ = 0;
   inflation_ = 0.0;

@@ -2,11 +2,10 @@
 #define CASCACHE_CACHE_GDS_CACHE_H_
 
 #include <cstdint>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "cache/flat_store.h"
+#include "cache/ordered_heap.h"
 #include "trace/object_catalog.h"
 
 namespace cascache::cache {
@@ -22,9 +21,10 @@ using trace::ObjectId;
 /// optimizes replacement only, so it serves as an extra comparator for
 /// the coordinated scheme.
 ///
-/// Entry storage is flat (size/credit struct-of-arrays slots behind a
-/// direct-index id→slot table); the ascending (H, id) std::set is kept so
-/// victim order stays bit-identical to the historical map-based store.
+/// Entry storage is flat: sizes live in struct-of-arrays slots behind a
+/// direct-index id→slot table, and credits in a flat (H, id) min-heap
+/// (OrderedSlotHeap, as in NclCache): the victim is the minimum (H, id)
+/// pair, a credit refresh is an in-place sift and an eviction a pop.
 class GdsCache {
  public:
   explicit GdsCache(uint64_t capacity_bytes);
@@ -66,7 +66,6 @@ class GdsCache {
 
  private:
   SlotId AllocSlot();
-  void SetCredit(ObjectId id, SlotId slot, double credit);
 
   uint64_t capacity_;
   uint64_t used_ = 0;
@@ -75,12 +74,11 @@ class GdsCache {
 
   // Struct-of-arrays entry slots + direct id→slot index.
   std::vector<uint64_t> sizes_;
-  std::vector<double> credits_;  ///< H values.
   std::vector<SlotId> free_;
   SlotIndex index_;
   std::vector<ObjectId> evicted_scratch_;
 
-  std::set<std::pair<double, ObjectId>> order_;  ///< Ascending (H, id).
+  OrderedSlotHeap order_;  ///< (H, id) min-heap; the key is the credit.
 };
 
 }  // namespace cascache::cache

@@ -18,8 +18,9 @@ using trace::ObjectId;
 /// eviction — the classic in-cache LFU the early web-caching studies
 /// (Williams et al., cited as [19]) evaluated against LRU.
 ///
-/// Sizes and counts live in struct-of-arrays slots behind a direct-index
-/// id→slot table; the eviction heap uses the dense ObjectId position map.
+/// Sizes, counts and ids live in struct-of-arrays slots behind a
+/// direct-index id→slot table; the eviction heap is keyed by slot, so its
+/// position table is sized by residency rather than by the id space.
 class LfuCache {
  public:
   explicit LfuCache(uint64_t capacity_bytes);
@@ -43,12 +44,9 @@ class LfuCache {
   bool Erase(ObjectId id);
   void Clear();
 
-  /// Selects sparse id-index/heap storage for huge sparse catalogs (see
-  /// SlotIndex::SetSparse); the cache must be empty.
-  void SetSparse(bool sparse) {
-    index_.SetSparse(sparse);
-    heap_.SetSparse(sparse);
-  }
+  /// Selects the id-index storage mode (SlotIndex::SetSparse); the cache
+  /// must be empty. The slot-keyed heap needs no mode.
+  void SetSparse(bool sparse) { index_.SetSparse(sparse); }
 
   uint64_t capacity_bytes() const { return capacity_; }
   uint64_t used_bytes() const { return used_; }
@@ -67,12 +65,13 @@ class LfuCache {
   // Struct-of-arrays entry slots + direct id→slot index.
   std::vector<uint64_t> sizes_;
   std::vector<uint64_t> counts_;
+  std::vector<ObjectId> ids_;
   std::vector<SlotId> free_;
   SlotIndex index_;
   std::vector<ObjectId> evicted_scratch_;
 
-  /// Min-heap on count: top is the LFU victim.
-  util::DenseIndexedMinHeap<ObjectId> heap_;
+  /// Min-heap of slots on count: top is the LFU victim.
+  util::IndexedMinHeap<SlotId, util::SlotPosMap> heap_;
 };
 
 }  // namespace cascache::cache

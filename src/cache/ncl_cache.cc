@@ -15,7 +15,6 @@ SlotId NclCache::AllocSlot() {
   const SlotId slot = static_cast<SlotId>(sizes_.size());
   sizes_.push_back(0);
   losses_.push_back(0.0);
-  ncls_.push_back(0.0);
   return slot;
 }
 
@@ -39,44 +38,63 @@ void NclCache::PlanEvictionInto(uint64_t need_bytes,
     plan->feasible = true;
     return;
   }
-  uint64_t to_free = need_bytes - free;
-  for (const auto& [ncl, id] : order_) {
-    const SlotId slot = index_.Get(id);
-    CASCACHE_DCHECK(slot != kNoSlot);
-    plan->victims.push_back(id);
-    plan->cost_loss += losses_[slot];
-    plan->freed_bytes += sizes_[slot];
-    if (plan->freed_bytes >= to_free) {
-      plan->feasible = true;
-      return;
-    }
-  }
-  // Even evicting everything is not enough.
-  plan->feasible = false;
+  const uint64_t to_free = need_bytes - free;
+  // Greedy in ascending (NCL, id) order until enough is freed; if the
+  // walk runs out first, even evicting everything is not enough and the
+  // plan stays infeasible.
+  order_.VisitAscending([&](const OrderedSlotHeap::Entry& entry) {
+    plan->victims.push_back(entry.id);
+    plan->cost_loss += losses_[entry.slot];
+    plan->freed_bytes += sizes_[entry.slot];
+    plan->feasible = plan->freed_bytes >= to_free;
+    return !plan->feasible;
+  });
 }
 
 const std::vector<ObjectId>& NclCache::Insert(ObjectId id, uint64_t size,
                                               double loss, bool* inserted) {
+  if (!Contains(id)) return InsertAbsent(id, size, loss, inserted);
   if (inserted != nullptr) *inserted = false;
   evicted_scratch_.clear();
   CASCACHE_CHECK(size > 0);
-  if (Contains(id)) {
-    UpdateLoss(id, loss);
-    return evicted_scratch_;
-  }
+  UpdateLoss(id, loss);
+  return evicted_scratch_;
+}
+
+const std::vector<ObjectId>& NclCache::InsertAbsent(ObjectId id, uint64_t size,
+                                                    double loss,
+                                                    bool* inserted) {
+  if (inserted != nullptr) *inserted = false;
+  evicted_scratch_.clear();
+  CASCACHE_CHECK(size > 0);
+  CASCACHE_DCHECK(!Contains(id));
   if (size > capacity_) return evicted_scratch_;
 
   PlanEvictionInto(size, &insert_plan_);
   CASCACHE_CHECK(insert_plan_.feasible);
-  for (ObjectId victim : insert_plan_.victims) {
-    CASCACHE_CHECK(Erase(victim));
-    evicted_scratch_.push_back(victim);
+  // The plan lists victims in ascending order, so each is the heap's
+  // minimum when its turn comes. The last victim's entry is not popped:
+  // the new object's entry replaces it with one sift-down instead of a
+  // pop (sift from the root to a leaf) plus a push (sift from a leaf
+  // back up). The (NCL, id) order is total, so the layout this leaves
+  // cannot change any later victim.
+  const size_t num_victims = insert_plan_.victims.size();
+  for (size_t v = 0; v < num_victims; ++v) {
+    const OrderedSlotHeap::Entry victim = order_.Top();
+    CASCACHE_CHECK(victim.id == insert_plan_.victims[v]);
+    if (v + 1 < num_victims) order_.Pop();
+    Release(victim.id, victim.slot);
+    evicted_scratch_.push_back(victim.id);
   }
   const SlotId slot = AllocSlot();
   sizes_[slot] = size;
   losses_[slot] = loss;
-  ncls_[slot] = loss / static_cast<double>(size);
-  order_.emplace(ncls_[slot], id);
+  const double ncl = loss / static_cast<double>(size);
+  if (num_victims > 0) {
+    order_.ReplaceTop(ncl, id, slot);
+  } else {
+    order_.Push(ncl, id, slot);
+  }
   index_.Set(id, slot);
   used_ += size;
   ++count_;
@@ -87,22 +105,24 @@ const std::vector<ObjectId>& NclCache::Insert(ObjectId id, uint64_t size,
 bool NclCache::UpdateLoss(ObjectId id, double loss) {
   const SlotId slot = index_.Get(id);
   if (slot == kNoSlot) return false;
-  order_.erase({ncls_[slot], id});
   losses_[slot] = loss;
-  ncls_[slot] = loss / static_cast<double>(sizes_[slot]);
-  order_.emplace(ncls_[slot], id);
+  order_.Update(slot, loss / static_cast<double>(sizes_[slot]));
   return true;
 }
 
 bool NclCache::Erase(ObjectId id) {
   const SlotId slot = index_.Get(id);
   if (slot == kNoSlot) return false;
-  order_.erase({ncls_[slot], id});
+  order_.Erase(slot);
+  Release(id, slot);
+  return true;
+}
+
+void NclCache::Release(ObjectId id, SlotId slot) {
   used_ -= sizes_[slot];
   index_.Erase(id);
   free_.push_back(slot);
   --count_;
-  return true;
 }
 
 void NclCache::Clear() {
@@ -115,7 +135,7 @@ void NclCache::Clear() {
     free_.push_back(slot);
   }
   index_.Clear();
-  order_.clear();
+  order_.Clear();
   used_ = 0;
   count_ = 0;
 }
@@ -123,7 +143,10 @@ void NclCache::Clear() {
 std::vector<ObjectId> NclCache::IdsByNcl() const {
   std::vector<ObjectId> ids;
   ids.reserve(order_.size());
-  for (const auto& [ncl, id] : order_) ids.push_back(id);
+  order_.VisitAscending([&](const OrderedSlotHeap::Entry& entry) {
+    ids.push_back(entry.id);
+    return true;
+  });
   return ids;
 }
 

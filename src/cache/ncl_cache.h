@@ -2,11 +2,10 @@
 #define CASCACHE_CACHE_NCL_CACHE_H_
 
 #include <cstdint>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "cache/flat_store.h"
+#include "cache/ordered_heap.h"
 #include "trace/object_catalog.h"
 
 namespace cascache::cache {
@@ -20,12 +19,12 @@ using trace::ObjectId;
 /// greedily in ascending NCL order until enough space is freed — the
 /// paper's knapsack heuristic.
 ///
-/// Entry storage is flat: size/loss/NCL live in struct-of-arrays slots
-/// behind a direct-index id→slot table, so the greedy plan scan and the
-/// per-access loss refresh touch contiguous arrays instead of hash nodes.
-/// The ascending (NCL, id) order remains a std::set — the greedy scan
-/// needs non-destructive in-order traversal, and keeping the exact same
-/// comparator preserves bit-identical victim order.
+/// Entry storage is flat: size/loss live in struct-of-arrays slots behind
+/// a direct-index id→slot table, and the (NCL, id) order is a flat binary
+/// min-heap of {NCL, id, slot} entries (OrderedSlotHeap) with positions
+/// indexed by slot. A loss refresh is an in-place sift; the greedy plan
+/// walks the heap in exact ascending (NCL, id) order, as a greedy scan of
+/// an ordered set would, and usually stops at the root.
 class NclCache {
  public:
   /// Greedy eviction preview: which objects would be purged to free
@@ -74,6 +73,12 @@ class NclCache {
   const std::vector<ObjectId>& Insert(ObjectId id, uint64_t size, double loss,
                                       bool* inserted = nullptr);
 
+  /// Insert() for an object known to be absent: skips the presence probe
+  /// (the cache node has just made it).
+  const std::vector<ObjectId>& InsertAbsent(ObjectId id, uint64_t size,
+                                            double loss,
+                                            bool* inserted = nullptr);
+
   /// Updates the cost loss (and hence NCL priority) of a cached object.
   /// No-op if absent; returns presence.
   bool UpdateLoss(ObjectId id, double loss);
@@ -98,6 +103,8 @@ class NclCache {
 
  private:
   SlotId AllocSlot();
+  /// Drops a resident object's slot and index entry (not its heap entry).
+  void Release(ObjectId id, SlotId slot);
 
   uint64_t capacity_;
   uint64_t used_ = 0;
@@ -110,13 +117,11 @@ class NclCache {
   // Struct-of-arrays entry slots + direct id→slot index.
   std::vector<uint64_t> sizes_;
   std::vector<double> losses_;  ///< f·m
-  std::vector<double> ncls_;    ///< loss / size
   std::vector<SlotId> free_;
   SlotIndex index_;
 
-  /// Ascending (NCL, id) order; supports the greedy in-order scan that the
-  /// heap alternative cannot provide without destructive pops.
-  std::set<std::pair<double, ObjectId>> order_;
+  /// (NCL, id) min-heap; NCL = loss / size.
+  OrderedSlotHeap order_;
 };
 
 }  // namespace cascache::cache

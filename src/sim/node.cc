@@ -183,15 +183,15 @@ ObjectDescriptor* CacheNode::FindDescriptor(ObjectId id) {
 }
 
 ObjectDescriptor* CacheNode::RecordAccess(ObjectId id, double now) {
-  ObjectDescriptor* desc = FindDescriptor(id);
-  if (desc == nullptr) return nullptr;
-  estimator_.OnAccess(desc, now);
-  if (DescriptorInMain(id)) {
-    RefreshLoss(id, now);
-  } else if (dcache_ != nullptr) {
-    dcache_->Refresh(id, *desc);
+  // One probe per table: the main table, then (only for an object not
+  // cached here) the d-cache, which records and re-prioritizes in place.
+  if (ObjectDescriptor* desc = main_descriptors_.Find(id); desc != nullptr) {
+    estimator_.OnAccess(desc, now);
+    RefreshLossOf(id, desc, now);
+    return desc;
   }
-  return desc;
+  if (dcache_ != nullptr) return dcache_->RecordAccess(id, estimator_, now);
+  return nullptr;
 }
 
 ObjectDescriptor* CacheNode::AdmitDescriptor(ObjectId id, uint64_t size,
@@ -209,10 +209,14 @@ ObjectDescriptor* CacheNode::AdmitDescriptor(ObjectId id, uint64_t size,
 
 void CacheNode::UpdateMissPenalty(ObjectId id, double miss_penalty,
                                   double now) {
-  ObjectDescriptor* desc = FindDescriptor(id);
-  if (desc == nullptr) return;
-  desc->miss_penalty = miss_penalty;
-  if (DescriptorInMain(id)) RefreshLoss(id, now);
+  if (ObjectDescriptor* desc = main_descriptors_.Find(id); desc != nullptr) {
+    desc->miss_penalty = miss_penalty;
+    RefreshLossOf(id, desc, now);
+  } else if (dcache_ != nullptr) {
+    if (ObjectDescriptor* desc = dcache_->Find(id); desc != nullptr) {
+      desc->miss_penalty = miss_penalty;
+    }
+  }
 }
 
 cache::NclCache::EvictionPlan CacheNode::PlanEvictionFor(
@@ -239,12 +243,7 @@ bool CacheNode::InsertCost(ObjectId id, uint64_t size, double miss_penalty,
 
   // Promote (or create) the descriptor, preserving access history.
   ObjectDescriptor desc;
-  if (dcache_ != nullptr) {
-    if (ObjectDescriptor* existing = dcache_->Find(id); existing != nullptr) {
-      desc = *existing;
-      dcache_->Erase(id);
-    }
-  }
+  if (dcache_ != nullptr) dcache_->Take(id, &desc);
   if (desc.num_accesses == 0) {
     estimator_.OnAccess(&desc, now);
   }
@@ -254,8 +253,8 @@ bool CacheNode::InsertCost(ObjectId id, uint64_t size, double miss_penalty,
   const double loss = frequency * miss_penalty;
 
   bool inserted = false;
-  const std::vector<ObjectId>& evicted = ncl_->Insert(id, size, loss,
-                                                      &inserted);
+  const std::vector<ObjectId>& evicted =
+      ncl_->InsertAbsent(id, size, loss, &inserted);
   CASCACHE_CHECK(inserted);
 
   // Demote evicted objects' descriptors to the d-cache (their history is
@@ -278,6 +277,12 @@ void CacheNode::RefreshLoss(ObjectId id, double now) {
   ObjectDescriptor* desc = main_descriptors_.Find(id);
   CASCACHE_CHECK_MSG(desc != nullptr,
                      "RefreshLoss on object without main descriptor");
+  RefreshLossOf(id, desc, now);
+}
+
+void CacheNode::RefreshLossOf(ObjectId id, ObjectDescriptor* desc,
+                              double now) {
+  CASCACHE_CHECK(ncl_ != nullptr);
   const double frequency = estimator_.Estimate(desc, now);
   ncl_->UpdateLoss(id, frequency * desc->miss_penalty);
 }

@@ -259,6 +259,9 @@ class CacheNode {
   void RefreshLoss(ObjectId id, double now);
 
  private:
+  /// RefreshLoss for a main-table descriptor already in hand.
+  void RefreshLossOf(ObjectId id, ObjectDescriptor* desc, double now);
+
   topology::NodeId id_;
   CacheNodeConfig config_;
   cache::FrequencyEstimator estimator_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
 
 namespace cascache::sim {
 
@@ -21,6 +22,17 @@ constexpr size_t kDecodeBlock = 1024;
 /// structures; 2^24 objects keeps the dense path for every historical
 /// configuration.
 constexpr uint32_t kDenseIdLimit = 1u << 24;
+
+/// The replay decoders' answer to a request naming an object outside the
+/// catalog (a hostile or corrupt trace record): Run() fails with it
+/// instead of reading past the catalog's arrays.
+util::Status ObjectOutOfRange(size_t index, trace::ObjectId object,
+                              uint32_t num_objects) {
+  return util::Status::InvalidArgument(
+      "request " + std::to_string(index) + " names object " +
+      std::to_string(object) + ", outside the catalog of " +
+      std::to_string(num_objects) + " objects");
+}
 
 /// Fills the exchange-invariant record fields and emits. `trace` must be
 /// non-null; callers keep the disabled path to one pointer test.
@@ -287,7 +299,7 @@ util::Status Simulator::Run(const trace::WorkloadView& view,
     // lookahead window revisits arrivals out of order, so on_consumed
     // page release does not apply here.
     t_warmed = t_configured;
-    ReplayContended(view.requests, warmup_count);
+    CASCACHE_RETURN_IF_ERROR(ReplayContended(view.requests, warmup_count));
   } else {
     // Analytic replay proceeds in bounded chunks so mapped sources can
     // drop consumed pages (WorkloadView::on_consumed). Chunk bounds are
@@ -299,13 +311,16 @@ util::Status Simulator::Run(const trace::WorkloadView& view,
     const auto replay_phase = [&](size_t begin, size_t end, bool collect) {
       for (size_t c = begin; c < end; c += kReplayChunk) {
         const size_t chunk_end = std::min(end, c + kReplayChunk);
-        ReplayRange(view.requests, c, chunk_end, collect);
+        CASCACHE_RETURN_IF_ERROR(
+            ReplayRange(view.requests, c, chunk_end, collect));
         if (view.on_consumed) view.on_consumed(chunk_end);
       }
+      return util::Status::Ok();
     };
-    replay_phase(0, warmup_count, /*collect=*/false);
+    CASCACHE_RETURN_IF_ERROR(replay_phase(0, warmup_count, /*collect=*/false));
     t_warmed = Clock::now();
-    replay_phase(warmup_count, view.requests.size(), /*collect=*/true);
+    CASCACHE_RETURN_IF_ERROR(
+        replay_phase(warmup_count, view.requests.size(), /*collect=*/true));
   }
   const Clock::time_point t_done = Clock::now();
   phase_times_.configure_seconds = seconds_between(t_start, t_configured);
@@ -314,8 +329,8 @@ util::Status Simulator::Run(const trace::WorkloadView& view,
   return util::Status::Ok();
 }
 
-void Simulator::ReplayContended(trace::RequestSpan requests,
-                                size_t warmup_count) {
+util::Status Simulator::ReplayContended(trace::RequestSpan requests,
+                                        size_t warmup_count) {
   // Keep a bounded window of future arrivals on the heap: enough that
   // completions interleave with every arrival that could precede them,
   // without materializing the whole trace as events up front.
@@ -326,6 +341,7 @@ void Simulator::ReplayContended(trace::RequestSpan requests,
   arrival_clock_ = 0.0;
   pending_.clear();
   pending_free_.clear();
+  const uint32_t num_objects = catalog_->num_objects();
   const auto schedule_arrivals = [&] {
     while (next < total && arrivals_pending < kArrivalWindow) {
       engine_.Schedule(EventKind::kArrival,
@@ -340,6 +356,9 @@ void Simulator::ReplayContended(trace::RequestSpan requests,
     if (ev.kind == EventKind::kArrival) {
       --arrivals_pending;
       const trace::Request& request = requests[ev.payload];
+      if (request.object >= num_objects) [[unlikely]] {
+        return ObjectOutOfRange(ev.payload, request.object, num_objects);
+      }
       DecodedRequest decoded;
       decoded.object = request.object;
       decoded.size = catalog_->size(request.object);
@@ -371,6 +390,7 @@ void Simulator::ReplayContended(trace::RequestSpan requests,
       pending_free_.push_back(ev.payload);
     }
   }
+  return util::Status::Ok();
 }
 
 double Simulator::NextArrivalTime(double trace_time) {
@@ -395,8 +415,8 @@ double Simulator::NextArrivalTime(double trace_time) {
   return arrival_clock_;
 }
 
-void Simulator::ReplayRange(trace::RequestSpan requests, size_t begin,
-                            size_t end, bool collect) {
+util::Status Simulator::ReplayRange(trace::RequestSpan requests,
+                                    size_t begin, size_t end, bool collect) {
   // Decode-then-replay in blocks: the decode loop touches only the trace
   // and the catalog's flat arrays (branch-free, prefetch-friendly), the
   // replay loop only decoded integers. Ordering is exactly the trace
@@ -408,11 +428,15 @@ void Simulator::ReplayRange(trace::RequestSpan requests, size_t begin,
   // integer counters accumulate in block_stats_ and write back once per
   // range (MetricsCollector::FlushBlock) instead of once per request.
   if (collect) block_stats_ = {};
+  const uint32_t num_objects = catalog_->num_objects();
   for (size_t block = begin; block < end; block += kDecodeBlock) {
     const size_t block_end = std::min(end, block + kDecodeBlock);
     batch.clear();
     for (size_t i = block; i < block_end; ++i) {
       const trace::Request& request = requests[i];
+      if (request.object >= num_objects) [[unlikely]] {
+        return ObjectOutOfRange(i, request.object, num_objects);
+      }
       DecodedRequest decoded;
       decoded.object = request.object;
       decoded.size = catalog_->size(request.object);
@@ -461,6 +485,7 @@ void Simulator::ReplayRange(trace::RequestSpan requests, size_t begin,
     }
   }
   if (collect) metrics_.FlushBlock(block_stats_);
+  return util::Status::Ok();
 }
 
 void Simulator::Step(const trace::Request& request, bool collect) {

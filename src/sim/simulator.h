@@ -192,9 +192,11 @@ class Simulator {
   /// points). The span is seekable storage-agnostic — a heap vector and
   /// an mmap'd request region replay through the same loop. Per-request
   /// ordering and results are identical to calling Step() on each
-  /// request in sequence; Run() uses this for both phases.
-  void ReplayRange(trace::RequestSpan requests, size_t begin, size_t end,
-                   bool collect);
+  /// request in sequence; Run() uses this for both phases. A request
+  /// naming an object outside the catalog stops the replay with
+  /// InvalidArgument (requests before it have been replayed).
+  util::Status ReplayRange(trace::RequestSpan requests, size_t begin,
+                           size_t end, bool collect);
 
   /// Installs the update schedule for direct Step() drivers (Run() does
   /// this automatically from the workload catalog).
@@ -291,7 +293,9 @@ class Simulator {
   /// off. One loop spans both phases so warm-up completions that land
   /// inside the measured window drain in time order instead of being
   /// force-drained at the phase boundary.
-  void ReplayContended(trace::RequestSpan requests, size_t warmup_count);
+  /// Rejects out-of-catalog object ids like ReplayRange.
+  util::Status ReplayContended(trace::RequestSpan requests,
+                               size_t warmup_count);
 
   /// Arrival time of the next open-loop request: the (monotonized) trace
   /// timestamp by default, or the ramp process

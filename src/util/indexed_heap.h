@@ -26,86 +26,55 @@ class HashPosMap {
   void Set(const Key& key, size_t pos) { pos_[key] = pos; }
   void Erase(const Key& key) { pos_.erase(key); }
   void Clear() { pos_.clear(); }
-  /// Storage-mode hint; a no-op here (hashing is already id-sparse).
-  void SetSparse(bool) {}
   size_t size() const { return pos_.size(); }
 
  private:
   std::unordered_map<Key, size_t, Hash> pos_;
 };
 
-/// Direct-index key→heap-position map for keys that are dense unsigned
-/// integers (the closed ObjectId catalog): one array load per lookup
-/// instead of a hash probe. Grows lazily to the largest key seen; Clear
-/// is O(1) (the table re-grows on demand, retaining capacity).
-///
-/// SetSparse switches to a hash table internally: at huge catalogs
-/// (10^8 ids) the dense array would cost 8 bytes per id *per heap*
-/// (~800 MB each in the LFU store and every d-cache), while heap
-/// operations run only on misses — hashing there is cheap relative to
-/// what it saves. The dense fast path keeps one predictable branch.
-class DensePosMap {
+/// Direct-index key→heap-position map for keys that are small dense
+/// slot numbers (a store's own slots, bounded by its capacity, not by the
+/// catalog's id space): one uint32_t per slot, one array load per lookup.
+/// Grows to the largest slot seen and keeps its capacity across Clear.
+class SlotPosMap {
  public:
-  size_t Lookup(uint32_t key) const {
-    if (!sparse_) return key < pos_.size() ? pos_[key] : kHeapNpos;
-    auto it = sparse_pos_.find(key);
-    return it == sparse_pos_.end() ? kHeapNpos : it->second;
+  size_t Lookup(uint32_t slot) const {
+    return slot < pos_.size() && pos_[slot] != kAbsent ? pos_[slot]
+                                                       : kHeapNpos;
   }
-  void Set(uint32_t key, size_t pos) {
-    if (sparse_) {
-      sparse_pos_[key] = pos;
-      return;
+  void Set(uint32_t slot, size_t pos) {
+    if (slot >= pos_.size()) {
+      pos_.resize(static_cast<size_t>(slot) + 1, kAbsent);
     }
-    if (key >= pos_.size()) {
-      // After Clear() refill the kept capacity rather than doubling past
-      // it (see SlotIndex::Set in cache/flat_store.h).
-      const size_t target =
-          key < pos_.capacity()
-              ? pos_.capacity()
-              : std::max<size_t>(static_cast<size_t>(key) + 1,
-                                 pos_.size() * 2);
-      pos_.resize(target, kHeapNpos);
-    }
-    pos_[key] = pos;
+    pos_[slot] = static_cast<uint32_t>(pos);
   }
-  void Erase(uint32_t key) {
-    if (sparse_) {
-      sparse_pos_.erase(key);
-      return;
-    }
-    if (key < pos_.size()) pos_[key] = kHeapNpos;
-    --count_;  // Callers only erase present keys (heap invariant).
+  void Erase(uint32_t slot) { pos_[slot] = kAbsent; }
+  void Clear() { pos_.clear(); }
+  /// Present keys (invariant checks only: a scan of the table).
+  size_t size() const {
+    return static_cast<size_t>(
+        pos_.size() - std::count(pos_.begin(), pos_.end(), kAbsent));
   }
-  void Clear() {
-    pos_.clear();
-    sparse_pos_.clear();
-    count_ = 0;
-  }
-  /// Selects dense (default) or hash storage; the map must be empty.
-  void SetSparse(bool sparse) {
-    CASCACHE_CHECK(count_ == 0 && sparse_pos_.empty());
-    sparse_ = sparse;
-  }
-  size_t size() const { return sparse_ ? sparse_pos_.size() : count_; }
 
  private:
-  std::vector<size_t> pos_;
-  size_t count_ = 0;
-  bool sparse_ = false;
-  std::unordered_map<uint32_t, size_t> sparse_pos_;
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+  std::vector<uint32_t> pos_;
 };
 
 /// Binary min-heap over (key, priority) pairs with O(log n) priority update
-/// and erase by key. This backs the NCL-ordered cache store (descriptors
-/// keyed by normalized cost loss, §2.4 of the paper: "descriptors of cached
-/// objects can be organized as a heap based on their normalized cost
-/// losses") and the LFU d-cache.
+/// and erase by key. This backs the d-cache's eviction order (LFU by
+/// default, paper §2.4) and the in-cache LFU store, both keyed by their
+/// own pool slots (SlotPosMap).
 ///
 /// Keys must be unique. Priorities are doubles; ties are broken
-/// arbitrarily (but deterministically: the sift order depends only on the
-/// operation sequence, so the PosMap policy never changes victims).
+/// arbitrarily but deterministically: sifts compare priorities only, so
+/// the layout — and with it which of several tied entries is the top —
+/// depends only on the sequence of operations and priorities, never on
+/// the keys or the PosMap. Sifts move a hole rather than swapping; they
+/// make the same comparisons in the same order as pairwise swaps, so the
+/// layout is the one a swap-based heap reaches.
 /// The PosMap parameter selects the key→position index: HashPosMap for
-/// arbitrary keys, DensePosMap for dense uint32 keys (ObjectId stores).
+/// arbitrary keys, SlotPosMap for dense slot numbers.
 template <typename Key, typename PosMap = HashPosMap<Key>>
 class IndexedMinHeap {
  public:
@@ -180,14 +149,6 @@ class IndexedMinHeap {
     pos_.Clear();
   }
 
-  /// Forwards the position-map storage mode (DensePosMap switches to
-  /// hashing for huge sparse key spaces; HashPosMap ignores it). The
-  /// heap must be empty.
-  void SetSparse(bool sparse) {
-    CASCACHE_CHECK(entries_.empty());
-    pos_.SetSparse(sparse);
-  }
-
   /// Unordered view of all entries (heap order, not priority order).
   const std::vector<std::pair<Key, double>>& entries() const {
     return entries_;
@@ -208,42 +169,50 @@ class IndexedMinHeap {
   }
 
  private:
+  void Place(size_t i, const std::pair<Key, double>& entry) {
+    entries_[i] = entry;
+    pos_.Set(entry.first, i);
+  }
+
   void SiftUp(size_t i) {
+    const std::pair<Key, double> moving = entries_[i];
+    const size_t start = i;
     while (i > 0) {
       const size_t parent = (i - 1) / 2;
-      if (entries_[parent].second <= entries_[i].second) break;
-      SwapEntries(i, parent);
+      if (entries_[parent].second <= moving.second) break;
+      Place(i, entries_[parent]);
       i = parent;
     }
+    if (i != start) Place(i, moving);
   }
 
   void SiftDown(size_t i) {
+    const std::pair<Key, double> moving = entries_[i];
+    const size_t start = i;
     const size_t n = entries_.size();
     for (;;) {
+      // The swap-based comparisons: left child against the moving entry,
+      // then right child against whichever of the two won.
       const size_t l = 2 * i + 1, r = 2 * i + 2;
       size_t smallest = i;
-      if (l < n && entries_[l].second < entries_[smallest].second)
+      double best = moving.second;
+      if (l < n && entries_[l].second < best) {
         smallest = l;
-      if (r < n && entries_[r].second < entries_[smallest].second)
-        smallest = r;
+        best = entries_[l].second;
+      }
+      if (r < n && entries_[r].second < best) smallest = r;
       if (smallest == i) break;
-      SwapEntries(i, smallest);
+      Place(i, entries_[smallest]);
       i = smallest;
     }
-  }
-
-  void SwapEntries(size_t a, size_t b) {
-    std::swap(entries_[a], entries_[b]);
-    pos_.Set(entries_[a].first, a);
-    pos_.Set(entries_[b].first, b);
+    if (i != start) Place(i, moving);
   }
 
   void RemoveAt(size_t i) {
     const size_t last = entries_.size() - 1;
     pos_.Erase(entries_[i].first);
     if (i != last) {
-      entries_[i] = entries_[last];
-      pos_.Set(entries_[i].first, i);
+      Place(i, entries_[last]);
       entries_.pop_back();
       // The moved element may need to go either direction.
       SiftDown(i);
@@ -256,10 +225,6 @@ class IndexedMinHeap {
   std::vector<std::pair<Key, double>> entries_;
   PosMap pos_;
 };
-
-/// Heap over the dense ObjectId space: direct-index position map.
-template <typename Key>
-using DenseIndexedMinHeap = IndexedMinHeap<Key, DensePosMap>;
 
 }  // namespace cascache::util
 

@@ -3,11 +3,14 @@
 
 #include <cstdint>
 #include <list>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/descriptor.h"
 #include "cache/dcache.h"
+#include "cache/ncl_cache.h"
 #include "trace/object_catalog.h"
 #include "util/check.h"
 #include "util/indexed_heap.h"
@@ -92,6 +95,199 @@ class RefLruCache {
   /// Front = most recently used, back = least recently used.
   std::list<Entry> order_;
   std::unordered_map<ObjectId, std::list<Entry>::iterator> index_;
+};
+
+/// Reference NCL oracle: the historical NclCache, whose ascending
+/// (NCL, id) order is a node-based std::set, kept in the tests only. The
+/// heap-ordered production store (cache::NclCache) must produce the same
+/// plans, victims and order — the differential test compares them after
+/// every operation.
+class RefNclCache {
+ public:
+  using EvictionPlan = cache::NclCache::EvictionPlan;
+
+  explicit RefNclCache(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
+
+  bool Contains(ObjectId id) const { return entries_.count(id) > 0; }
+
+  double LossOf(ObjectId id) const { return entries_.at(id).loss; }
+
+  EvictionPlan PlanEviction(uint64_t need_bytes) const {
+    EvictionPlan plan;
+    const uint64_t free = capacity_ - used_;
+    if (free >= need_bytes) {
+      plan.feasible = true;
+      return plan;
+    }
+    const uint64_t to_free = need_bytes - free;
+    for (const auto& [ncl, id] : order_) {
+      const Entry& entry = entries_.at(id);
+      plan.victims.push_back(id);
+      plan.cost_loss += entry.loss;
+      plan.freed_bytes += entry.size;
+      if (plan.freed_bytes >= to_free) {
+        plan.feasible = true;
+        return plan;
+      }
+    }
+    plan.feasible = false;
+    return plan;
+  }
+
+  std::vector<ObjectId> Insert(ObjectId id, uint64_t size, double loss,
+                               bool* inserted = nullptr) {
+    if (inserted != nullptr) *inserted = false;
+    std::vector<ObjectId> evicted;
+    CASCACHE_CHECK(size > 0);
+    if (Contains(id)) {
+      UpdateLoss(id, loss);
+      return evicted;
+    }
+    if (size > capacity_) return evicted;
+    const EvictionPlan plan = PlanEviction(size);
+    CASCACHE_CHECK(plan.feasible);
+    for (ObjectId victim : plan.victims) {
+      CASCACHE_CHECK(Erase(victim));
+      evicted.push_back(victim);
+    }
+    const Entry entry{size, loss, loss / static_cast<double>(size)};
+    entries_.emplace(id, entry);
+    order_.emplace(entry.ncl, id);
+    used_ += size;
+    if (inserted != nullptr) *inserted = true;
+    return evicted;
+  }
+
+  bool UpdateLoss(ObjectId id, double loss) {
+    auto it = entries_.find(id);
+    if (it == entries_.end()) return false;
+    order_.erase({it->second.ncl, id});
+    it->second.loss = loss;
+    it->second.ncl = loss / static_cast<double>(it->second.size);
+    order_.emplace(it->second.ncl, id);
+    return true;
+  }
+
+  bool Erase(ObjectId id) {
+    auto it = entries_.find(id);
+    if (it == entries_.end()) return false;
+    order_.erase({it->second.ncl, id});
+    used_ -= it->second.size;
+    entries_.erase(it);
+    return true;
+  }
+
+  void Clear() {
+    entries_.clear();
+    order_.clear();
+    used_ = 0;
+  }
+
+  uint64_t used_bytes() const { return used_; }
+  size_t num_objects() const { return entries_.size(); }
+
+  std::vector<ObjectId> IdsByNcl() const {
+    std::vector<ObjectId> ids;
+    for (const auto& [ncl, id] : order_) ids.push_back(id);
+    return ids;
+  }
+
+ private:
+  struct Entry {
+    uint64_t size;
+    double loss;  ///< f·m
+    double ncl;   ///< loss / size
+  };
+
+  uint64_t capacity_;
+  uint64_t used_ = 0;
+  std::unordered_map<ObjectId, Entry> entries_;
+  std::set<std::pair<double, ObjectId>> order_;
+};
+
+/// Reference GreedyDual-Size oracle: the historical GdsCache over an
+/// ascending (H, id) std::set, kept in the tests only (see RefNclCache).
+class RefGdsCache {
+ public:
+  explicit RefGdsCache(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
+
+  bool Contains(ObjectId id) const { return entries_.count(id) > 0; }
+
+  std::vector<ObjectId> Insert(ObjectId id, uint64_t size, double cost,
+                               bool* inserted = nullptr) {
+    if (inserted != nullptr) *inserted = false;
+    std::vector<ObjectId> evicted;
+    CASCACHE_CHECK(size > 0);
+    CASCACHE_CHECK(cost >= 0.0);
+    if (auto it = entries_.find(id); it != entries_.end()) {
+      SetCredit(id, &it->second,
+                inflation_ + cost / static_cast<double>(it->second.size));
+      return evicted;
+    }
+    if (size > capacity_) return evicted;
+    while (used_ + size > capacity_) {
+      CASCACHE_CHECK(!order_.empty());
+      const auto [credit, victim] = *order_.begin();
+      inflation_ = credit;
+      order_.erase(order_.begin());
+      used_ -= entries_.at(victim).size;
+      entries_.erase(victim);
+      evicted.push_back(victim);
+    }
+    const Entry entry{size, inflation_ + cost / static_cast<double>(size)};
+    entries_.emplace(id, entry);
+    order_.emplace(entry.credit, id);
+    used_ += size;
+    if (inserted != nullptr) *inserted = true;
+    return evicted;
+  }
+
+  bool OnHit(ObjectId id, double cost) {
+    auto it = entries_.find(id);
+    if (it == entries_.end()) return false;
+    SetCredit(id, &it->second,
+              inflation_ + cost / static_cast<double>(it->second.size));
+    return true;
+  }
+
+  bool Erase(ObjectId id) {
+    auto it = entries_.find(id);
+    if (it == entries_.end()) return false;
+    order_.erase({it->second.credit, id});
+    used_ -= it->second.size;
+    entries_.erase(it);
+    return true;
+  }
+
+  void Clear() {
+    entries_.clear();
+    order_.clear();
+    used_ = 0;
+    inflation_ = 0.0;
+  }
+
+  uint64_t used_bytes() const { return used_; }
+  size_t num_objects() const { return entries_.size(); }
+  double inflation() const { return inflation_; }
+  double CreditOf(ObjectId id) const { return entries_.at(id).credit; }
+
+ private:
+  struct Entry {
+    uint64_t size;
+    double credit;  ///< H.
+  };
+
+  void SetCredit(ObjectId id, Entry* entry, double credit) {
+    order_.erase({entry->credit, id});
+    entry->credit = credit;
+    order_.emplace(credit, id);
+  }
+
+  uint64_t capacity_;
+  uint64_t used_ = 0;
+  double inflation_ = 0.0;
+  std::unordered_map<ObjectId, Entry> entries_;
+  std::set<std::pair<double, ObjectId>> order_;
 };
 
 /// Reference two-tier oracle: an inclusive RAM tier over a disk tier,

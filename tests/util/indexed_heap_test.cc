@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -144,6 +147,142 @@ TEST(IndexedHeapTest, RandomOpsMatchReference) {
     }
   }
   EXPECT_TRUE(heap.CheckInvariants());
+}
+
+/// The swap-based heap the hole-based sifts replaced, kept as the layout
+/// reference: every sift swaps the moving entry with its parent or
+/// smaller child one level at a time.
+class SwapHeapReference {
+ public:
+  void Push(uint32_t key, double priority) {
+    entries_.emplace_back(key, priority);
+    pos_[key] = entries_.size() - 1;
+    SiftUp(entries_.size() - 1);
+  }
+  std::pair<uint32_t, double> Pop() {
+    const std::pair<uint32_t, double> top = entries_[0];
+    RemoveAt(0);
+    return top;
+  }
+  void Update(uint32_t key, double priority) {
+    const size_t i = pos_.at(key);
+    const double old = entries_[i].second;
+    entries_[i].second = priority;
+    if (priority < old) {
+      SiftUp(i);
+    } else if (priority > old) {
+      SiftDown(i);
+    }
+  }
+  bool Erase(uint32_t key) {
+    auto it = pos_.find(key);
+    if (it == pos_.end()) return false;
+    RemoveAt(it->second);
+    return true;
+  }
+  void Clear() {
+    entries_.clear();
+    pos_.clear();
+  }
+  bool Contains(uint32_t key) const { return pos_.count(key) > 0; }
+  const std::vector<std::pair<uint32_t, double>>& entries() const {
+    return entries_;
+  }
+
+ private:
+  void SiftUp(size_t i) {
+    while (i > 0) {
+      const size_t parent = (i - 1) / 2;
+      if (entries_[parent].second <= entries_[i].second) break;
+      SwapEntries(i, parent);
+      i = parent;
+    }
+  }
+  void SiftDown(size_t i) {
+    const size_t n = entries_.size();
+    for (;;) {
+      const size_t l = 2 * i + 1, r = 2 * i + 2;
+      size_t smallest = i;
+      if (l < n && entries_[l].second < entries_[smallest].second) {
+        smallest = l;
+      }
+      if (r < n && entries_[r].second < entries_[smallest].second) {
+        smallest = r;
+      }
+      if (smallest == i) break;
+      SwapEntries(i, smallest);
+      i = smallest;
+    }
+  }
+  void SwapEntries(size_t a, size_t b) {
+    std::swap(entries_[a], entries_[b]);
+    pos_[entries_[a].first] = a;
+    pos_[entries_[b].first] = b;
+  }
+  void RemoveAt(size_t i) {
+    const size_t last = entries_.size() - 1;
+    pos_.erase(entries_[i].first);
+    if (i != last) {
+      entries_[i] = entries_[last];
+      pos_[entries_[i].first] = i;
+      entries_.pop_back();
+      SiftDown(i);
+      SiftUp(i);
+    } else {
+      entries_.pop_back();
+    }
+  }
+
+  std::vector<std::pair<uint32_t, double>> entries_;
+  std::unordered_map<uint32_t, size_t> pos_;
+};
+
+// The hole-based sifts must leave exactly the swap-based layout: with
+// priorities drawn from four values, which tied entry sits on top (and so
+// is evicted by the d-cache and the LFU store) is decided by the layout
+// alone. Checked for the slot-keyed and the hash-keyed position maps.
+template <typename Heap>
+void RunLayoutAgainstSwapReference(uint64_t seed) {
+  Heap heap;
+  SwapHeapReference ref;
+  Rng rng(seed);
+  for (int step = 0; step < 30000; ++step) {
+    const uint32_t key = static_cast<uint32_t>(rng.NextUint64(64));
+    const double priority = static_cast<double>(rng.NextUint64(4));
+    const uint64_t op = rng.NextUint64(100);
+    if (op < 40) {
+      if (!ref.Contains(key)) {
+        heap.Push(key, priority);
+        ref.Push(key, priority);
+      }
+    } else if (op < 70) {
+      if (ref.Contains(key)) {
+        heap.Update(key, priority);
+        ref.Update(key, priority);
+      }
+    } else if (op < 82) {
+      ASSERT_EQ(heap.Erase(key), ref.Erase(key)) << "step " << step;
+    } else if (op < 99) {
+      if (!heap.empty()) {
+        ASSERT_EQ(heap.Pop(), ref.Pop()) << "step " << step;
+      }
+    } else {
+      heap.Clear();
+      ref.Clear();
+    }
+    ASSERT_EQ(heap.entries(), ref.entries()) << "step " << step;
+    if (step % 1000 == 0) {
+      ASSERT_TRUE(heap.CheckInvariants());
+    }
+  }
+}
+
+TEST(IndexedHeapLayoutTest, SlotKeyedMatchesSwapReferenceUnderTies) {
+  RunLayoutAgainstSwapReference<IndexedMinHeap<uint32_t, SlotPosMap>>(5);
+}
+
+TEST(IndexedHeapLayoutTest, HashKeyedMatchesSwapReferenceUnderTies) {
+  RunLayoutAgainstSwapReference<IndexedMinHeap<uint32_t>>(6);
 }
 
 }  // namespace
