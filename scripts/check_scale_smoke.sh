@@ -33,6 +33,14 @@
 #      peak RSS under the same absolute ceiling (a dense table would need
 #      400 MB per store instance at 10^8 ids).
 #
+#   4. Residency-sized store indexes — a 2M-request drifting replay over
+#      a 10^6-object catalog on the 100-node en-route topology, LRU at 1%
+#      (the benchmark's enroute_drift_mapped shape), must peak under
+#      MAPPED_CEILING_KB. Stores over catalogs above 2^18 objects index
+#      their ~10^4 residents in hashed tables; dense id tables (4 bytes x
+#      10^6 ids x 100 stores) peaked at 607 MB here, the hashed ones at
+#      142 MB.
+#
 # Environment overrides:
 #   CASCACHE_SCALE_BUILD_DIR   build directory     (default build-scale)
 #   CASCACHE_SCALE_SMALL       short trace length  (default 3000000)
@@ -51,6 +59,11 @@ DRIFT=${CASCACHE_SCALE_DRIFT:-10000000}
 DRIFT_OBJECTS=${CASCACHE_SCALE_DRIFT_OBJECTS:-100000000}
 HEADROOM=${RSS_HEADROOM_PCT:-15}
 CEILING=${RSS_CEILING_KB:-2000000}
+
+# Fixed, not overridable: the guard's point is the absolute ceiling.
+MAPPED_REQUESTS=2000000
+MAPPED_OBJECTS=1000000
+MAPPED_CEILING_KB=300000
 
 WORK_DIR=$(mktemp -d)
 trap 'rm -rf "$WORK_DIR"' EXIT
@@ -142,6 +155,22 @@ if [[ -z "$DRIFT_RSS" ]] || (( DRIFT_RSS > CEILING )); then
   exit 1
 fi
 
+echo "== store-index point: $MAPPED_REQUESTS requests over a $MAPPED_OBJECTS-object catalog, en-route LRU"
+"$SIM" "--objects=$MAPPED_OBJECTS" --clients=2000 --servers=500 --seed=7 \
+    --arch=enroute --workload=drift "--requests=$MAPPED_REQUESTS" \
+    "--trace-out=$WORK_DIR/mapped.cctr"
+MAPPED_RSS=$(CASCACHE_PRINT_RSS=1 "$SIM" "--trace-in=$WORK_DIR/mapped.cctr" \
+    --trace-stream-release --schemes=lru --cache=0.01 \
+    2>&1 >"$WORK_DIR/mapped.out" | sed -n 's/^peak_rss_kb=//p')
+echo "store-index replay peak RSS: ${MAPPED_RSS:-<missing>} kB"
+if [[ -z "$MAPPED_RSS" ]] || (( MAPPED_RSS > MAPPED_CEILING_KB )); then
+  echo "FAIL: ${MAPPED_OBJECTS}-object replay peak RSS (${MAPPED_RSS:-none} kB)" \
+       "exceeds $MAPPED_CEILING_KB kB — store id indexes scale with the" \
+       "catalog again, not with residency" >&2
+  exit 1
+fi
+
 echo "PASS: RSS O(1) in trace length ($SMALL_RSS -> $LARGE_RSS kB over" \
-     "${SMALL}->${LARGE} requests), mapped replay bit-identical, and the" \
-     "${DRIFT_OBJECTS}-object drift point replayed in $DRIFT_RSS kB"
+     "${SMALL}->${LARGE} requests), mapped replay bit-identical, the" \
+     "${DRIFT_OBJECTS}-object drift point replayed in $DRIFT_RSS kB, and the" \
+     "${MAPPED_OBJECTS}-object en-route replay in $MAPPED_RSS kB"

@@ -148,8 +148,8 @@ class FlatLru {
 
   void Clear();
 
-  /// Selects the id-index storage mode (SlotIndex::SetSparse, for huge
-  /// sparse catalogs); the cache must be empty.
+  /// Selects the id-index storage mode (SlotIndex::SetSparse, for large
+  /// catalogs); the cache must be empty.
   void SetSparse(bool sparse) { index_.SetSparse(sparse); }
 
   uint64_t capacity_bytes() const { return capacity_; }

@@ -16,23 +16,41 @@ namespace cascache::cache {
 using SlotId = uint32_t;
 inline constexpr SlotId kNoSlot = UINT32_MAX;
 
-/// Direct-index id→slot table over the closed object catalog (ObjectId is
-/// a dense uint32_t, see trace/object_catalog.h). Replaces the per-store
-/// `std::unordered_map<ObjectId, ...>`: a lookup is one bounds check and
-/// one array load instead of a hash, a probe chain and a pointer chase.
-/// The table grows lazily to the largest id seen, so stores never need
-/// the catalog size up front.
+/// Largest catalog (in ids) whose stores keep dense id→slot tables. A
+/// dense table is 4 bytes per catalog id in every store, almost all of
+/// them kNoSlot when a store holds ~1% of the catalog; it pays only while
+/// one store's table fits a core's L2 share (2^18 ids = 1 MiB). Below
+/// this bound hashed tables cost the cost-mode stores (Coordinated,
+/// LNC-R) CPU; above it dense ones cost cache misses and several times
+/// the resident set. DESIGN.md ("Sparse store indexes") has the measured
+/// crossover for LRU and the cost-mode schemes.
+inline constexpr uint64_t kDenseIndexMaxIds = uint64_t{1} << 18;
+
+/// The one rule for a store's id-index mode: hashed (SlotIndex::SetSparse)
+/// for catalogs above kDenseIndexMaxIds, dense below. Every store of a
+/// run gets its mode from here (CacheNodeConfig::sparse_ids).
+constexpr bool UseHashedIndex(uint64_t num_objects) {
+  return num_objects > kDenseIndexMaxIds;
+}
+
+/// Id→slot table over the closed object catalog (ObjectId is a dense
+/// uint32_t, see trace/object_catalog.h). Replaces the per-store
+/// `std::unordered_map<ObjectId, ...>`.
 ///
-/// Sparse mode (SetSparse): above ~2^24 catalog objects the direct table
-/// stops being an optimization — it grows to the largest id *referenced*,
-/// and with hundreds of store instances across the cache plane the dense
-/// waste alone would blow the scale-smoke RSS budget at 10^8 objects. In
-/// sparse mode the same API runs over an open-addressing table of packed
-/// (id, slot) entries (Fibonacci hashing, linear probing, backward-shift
-/// deletion), sized by *resident* objects instead of the id space. The
-/// dense fast path keeps exactly one predictable branch; the mode is
-/// fixed while the index is empty, so a store's stream of operations is
-/// wholly one mode or the other.
+/// Dense mode (default): a direct-index array, so a lookup is one bounds
+/// check and one array load. The table grows lazily to the largest id
+/// seen, so stores never need the catalog size up front — but it ends up
+/// 4 bytes x catalog wide in every store.
+///
+/// Hashed mode (SetSparse, chosen by UseHashedIndex for catalogs above
+/// kDenseIndexMaxIds): the same API over an open-addressing table of
+/// packed (id, slot) entries (Fibonacci hashing, linear probing,
+/// backward-shift deletion, load at most 1/4), sized by *resident*
+/// objects instead of the id space: it doubles as residency grows and
+/// keeps its size across Clear(), so a store rehashes only while it
+/// first fills. The dense fast path keeps exactly one predictable
+/// branch; the mode is fixed while the index is empty, so a store's
+/// stream of operations is wholly one mode or the other.
 class SlotIndex {
  public:
   SlotId Get(trace::ObjectId id) const {
@@ -80,18 +98,19 @@ class SlotIndex {
   void Prefetch(trace::ObjectId id) const {
     if (!sparse_) {
       if (id < slots_.size()) __builtin_prefetch(&slots_[id], 0, 1);
-    } else if (!buckets_.empty()) {
+    } else {
       __builtin_prefetch(&buckets_[Home(id)], 0, 1);
     }
   }
 
   /// Drops every mapping in O(1) (dense: the backing vector's size
-  /// resets; capacity is retained so steady-state resets do not
-  /// reallocate) or O(buckets) (sparse: refill with the empty sentinel,
-  /// keeping capacity). The mode survives Clear.
+  /// resets) or O(buckets) (sparse: refill with the empty sentinel). Both
+  /// modes keep their capacity, so steady-state resets (cell to cell,
+  /// crash cold restarts) re-fill warm memory without reallocating. The
+  /// mode survives Clear.
   void Clear() {
     slots_.clear();
-    if (sparse_) {
+    if (sparse_ && sparse_count_ > 0) {
       std::fill(buckets_.begin(), buckets_.end(), kEmptyBucket);
       sparse_count_ = 0;
     }
@@ -104,8 +123,10 @@ class SlotIndex {
     CASCACHE_CHECK(slots_.empty() && sparse_count_ == 0);
     if (sparse_ == sparse) return;
     sparse_ = sparse;
-    buckets_.clear();
-    sparse_shift_ = 0;
+    // A hashed table is never empty of buckets, so probes need no
+    // emptiness test; a dense one releases them.
+    buckets_ = std::vector<uint64_t>();
+    if (sparse_) GrowSparse(kInitialBuckets);
   }
 
   bool sparse() const { return sparse_; }
@@ -120,6 +141,11 @@ class SlotIndex {
   /// a real entry (and id 0 / slot 0 packs to 0, distinct from it).
   static constexpr uint64_t kEmptyBucket = ~uint64_t{0};
   static constexpr size_t kInitialBuckets = 1024;
+  /// Load cap 1/kMaxLoadInverse. At 1/4, LRU churn's erase-one/insert-one
+  /// pairs keep probe chains and backward shifts short enough that hashed
+  /// LRU replays measured no slower than dense ones (DESIGN.md, "Sparse
+  /// store indexes"); the table costs 32–64 bytes per resident.
+  static constexpr size_t kMaxLoadInverse = 4;
 
   /// Fibonacci hashing: multiply by 2^64/phi and keep the top bits — a
   /// strong-enough mix for sequential ids at one multiply.
@@ -129,9 +155,7 @@ class SlotIndex {
   }
 
   SlotId SparseGet(trace::ObjectId id) const {
-    if (buckets_.empty()) return kNoSlot;
-    const size_t mask = buckets_.size() - 1;
-    for (size_t i = Home(id);; i = (i + 1) & mask) {
+    for (size_t i = Home(id);; i = (i + 1) & mask_) {
       const uint64_t b = buckets_[i];
       if (b == kEmptyBucket) return kNoSlot;
       if ((b >> 32) == id) return static_cast<SlotId>(b);
@@ -140,13 +164,12 @@ class SlotIndex {
 
   void SparseSet(trace::ObjectId id, SlotId slot) {
     CASCACHE_DCHECK(slot != kNoSlot);
-    // Grow at ~0.7 load, before probing, so insertion always terminates.
-    if (buckets_.empty() ||
-        (sparse_count_ + 1) * 10 >= buckets_.size() * 7) {
-      GrowSparse(buckets_.empty() ? kInitialBuckets : buckets_.size() * 2);
+    // Grow past the load cap before probing, so insertion always
+    // terminates.
+    if ((sparse_count_ + 1) * kMaxLoadInverse > buckets_.size()) {
+      GrowSparse(buckets_.size() * 2);
     }
-    const size_t mask = buckets_.size() - 1;
-    for (size_t i = Home(id);; i = (i + 1) & mask) {
+    for (size_t i = Home(id);; i = (i + 1) & mask_) {
       const uint64_t b = buckets_[i];
       if (b == kEmptyBucket) {
         buckets_[i] = (uint64_t{id} << 32) | slot;
@@ -161,8 +184,7 @@ class SlotIndex {
   }
 
   void SparseErase(trace::ObjectId id) {
-    if (buckets_.empty()) return;
-    const size_t mask = buckets_.size() - 1;
+    const size_t mask = mask_;
     size_t i = Home(id);
     while (true) {
       const uint64_t b = buckets_[i];
@@ -192,13 +214,13 @@ class SlotIndex {
   void GrowSparse(size_t new_buckets) {
     std::vector<uint64_t> old = std::move(buckets_);
     buckets_.assign(new_buckets, kEmptyBucket);
+    mask_ = new_buckets - 1;
     sparse_shift_ = 64;
     for (size_t b = new_buckets; b > 1; b >>= 1) --sparse_shift_;
-    const size_t mask = new_buckets - 1;
     for (const uint64_t entry : old) {
       if (entry == kEmptyBucket) continue;
       size_t i = Home(static_cast<trace::ObjectId>(entry >> 32));
-      while (buckets_[i] != kEmptyBucket) i = (i + 1) & mask;
+      while (buckets_[i] != kEmptyBucket) i = (i + 1) & mask_;
       buckets_[i] = entry;
     }
   }
@@ -207,6 +229,7 @@ class SlotIndex {
 
   bool sparse_ = false;
   std::vector<uint64_t> buckets_;  ///< Power-of-two size; kEmptyBucket = free.
+  size_t mask_ = 0;                ///< buckets_.size() - 1.
   size_t sparse_count_ = 0;
   unsigned sparse_shift_ = 0;  ///< 64 - log2(buckets_.size()).
 };

@@ -35,10 +35,11 @@ struct CacheNodeConfig {
   size_t dcache_entries = 0;
   /// d-cache replacement (paper §2.4 default: LFU).
   cache::DCachePolicy dcache_policy = cache::DCachePolicy::kLfu;
-  /// Use hashed (sparse) id→slot index tables instead of direct-index
-  /// arrays. Required for huge procedural catalogs (e.g. 10^8 objects)
-  /// where a dense table per store would dwarf the cached data; the
-  /// simulator sets this from the catalog size.
+  /// Use hashed (sparse) id→slot index tables, sized by residency,
+  /// instead of direct-index arrays as wide as the catalog. The simulator
+  /// sets this from the catalog size by cache::UseHashedIndex: hashed
+  /// above 2^18 objects, where a dense table per store would outgrow a
+  /// core's L2 share and, at 10^6+ objects, dwarf the cached data.
   bool sparse_ids = false;
   /// Two-tier node (Traffic Server's RAM-cache-over-disk design): a small
   /// fast RAM tier in front of the mode store, sized as this fraction of

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <string>
 
+#include "cache/flat_store.h"
+
 namespace cascache::sim {
 
 namespace {
@@ -17,11 +19,16 @@ constexpr int kRouteCacheMaxNodes = 512;
 /// the loop split, small enough to stay resident in L1/L2.
 constexpr size_t kDecodeBlock = 1024;
 
-/// Above this catalog size the per-store dense id→slot arrays (and the
-/// memoized size-scale table) are replaced with residency-sized hashed
-/// structures; 2^24 objects keeps the dense path for every historical
-/// configuration.
-constexpr uint32_t kDenseIdLimit = 1u << 24;
+/// Above this catalog size the memoized size-scale table (8 bytes per
+/// object, one per simulator) is skipped and the replay divides inline.
+/// The stores' id indexes follow their own rule, cache::UseHashedIndex.
+constexpr uint32_t kSizeScaleTableMaxObjects = 1u << 24;
+
+/// Clients below this id memoize their requester node (4 bytes each, at
+/// most 4 MiB); a trace record's client id is untrusted input, so ids
+/// above it hash through Network::RequesterNode on every request instead
+/// of sizing the memo to the id.
+constexpr trace::ClientId kRequesterMemoMaxClients = 1u << 20;
 
 /// The replay decoders' answer to a request naming an object outside the
 /// catalog (a hostile or corrupt trace record): Run() fails with it
@@ -223,11 +230,10 @@ util::Status Simulator::Run(const trace::WorkloadView& view,
   // it every hit/miss decision — is exactly the untiered store's.
   config.ram_fraction = options_.tier.ram_fraction;
   config.ram_capacity_bytes = options_.tier.ram_capacity_bytes;
-  // Huge (procedural) catalogs: dense per-store id→slot arrays would cost
-  // 4 bytes x num_objects x num_stores; switch every store to hashed
-  // indexes sized by residency instead.
-  const bool huge_catalog = catalog_->num_objects() > kDenseIdLimit;
-  config.sparse_ids = huge_catalog;
+  // Large catalogs: dense per-store id→slot arrays would cost 4 bytes x
+  // num_objects x num_stores; every store switches to hashed indexes
+  // sized by residency instead.
+  config.sparse_ids = cache::UseHashedIndex(catalog_->num_objects());
   if (scheme_->uses_dcache()) {
     const double avg_objects =
         static_cast<double>(capacity_bytes_per_node) / mean_object_size_;
@@ -266,9 +272,9 @@ util::Status Simulator::Run(const trace::WorkloadView& view,
   }
   // Memoize each object's size/mean ratio: identical operands to the
   // per-request division, so latencies are bit-identical. Skipped for
-  // huge catalogs (the table would be 8 bytes x num_objects); the replay
+  // huge catalogs (see kSizeScaleTableMaxObjects); the replay
   // fallback divides inline with the same operands.
-  if (!huge_catalog) {
+  if (catalog_->num_objects() <= kSizeScaleTableMaxObjects) {
     size_scale_table_.resize(catalog_->num_objects());
     for (trace::ObjectId o = 0; o < catalog_->num_objects(); ++o) {
       size_scale_table_[o] =
@@ -504,6 +510,9 @@ void Simulator::Step(const trace::Request& request, bool collect) {
 }
 
 topology::NodeId Simulator::RequesterFor(trace::ClientId client) {
+  if (client >= kRequesterMemoMaxClients) [[unlikely]] {
+    return network_->RequesterNode(client);
+  }
   if (static_cast<size_t>(client) >= requester_cache_.size()) {
     requester_cache_.resize(static_cast<size_t>(client) + 1, -1);
   }

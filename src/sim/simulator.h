@@ -332,7 +332,8 @@ class Simulator {
                               trace::ServerId server);
 
   /// Memoized Network::RequesterNode (same deterministic assignment,
-  /// computed once per client).
+  /// computed once per client). Client ids past a bound skip the memo
+  /// and hash per call, so a hostile id cannot size it.
   topology::NodeId RequesterFor(trace::ClientId client);
 
   const Network* network_;
@@ -408,7 +409,8 @@ class Simulator {
   CachedRoute fallback_route_;
   /// Memoized Network::RequesterNode keyed by client id (-1 = unfilled):
   /// the hash assignment is deterministic per client, so the decode loop
-  /// pays it once per client instead of once per request.
+  /// pays it once per client instead of once per request. Bounded by
+  /// kRequesterMemoMaxClients (simulator.cc).
   std::vector<topology::NodeId> requester_cache_;
   /// Per-request scratch (link costs, fault flags, decode blocks); reset,
   /// never reallocated, between requests.

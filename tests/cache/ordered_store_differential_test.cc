@@ -4,7 +4,9 @@
 // as oracles in tests/testing/ref_caches.h. Losses, costs and sizes come
 // from small value sets so most keys tie and the id tie-break decides;
 // after every operation the eviction plans, evicted lists, ascending
-// order and byte accounting must be identical.
+// order and byte accounting must be identical. Each store runs in both
+// id-index modes: dense, and hashed (SlotIndex::SetSparse) over ids
+// spread far apart.
 
 #include <gtest/gtest.h>
 
@@ -124,14 +126,21 @@ uint64_t TiedSize(Rng& rng) {
   return kSizes[rng.NextUint64(5)];
 }
 
+/// The id for draw `raw`: itself in dense mode, spread over a wide range
+/// in hashed mode (order-preserving, so id tie-breaks are unchanged).
+ObjectId TestId(uint64_t raw, bool hashed) {
+  return static_cast<ObjectId>(hashed ? raw * 40503 + 7 : raw);
+}
+
 void RunNclDifferential(uint64_t seed, uint64_t capacity, int steps,
-                        bool tied) {
+                        bool tied, bool hashed = false) {
   Rng rng(seed);
   NclCache flat(capacity);
+  flat.SetSparse(hashed);
   RefNclCache ref(capacity);
   NclCache::EvictionPlan plan;  // Reused, like the coordinated ascent.
   for (int step = 0; step < steps; ++step) {
-    const ObjectId id = static_cast<ObjectId>(rng.NextUint64(120));
+    const ObjectId id = TestId(rng.NextUint64(120), hashed);
     const double loss = tied ? TiedValue(rng) : rng.NextDouble(0.0, 50.0);
     const double dice = rng.NextDouble(0.0, 1.0);
     if (dice < 0.45) {
@@ -185,6 +194,16 @@ TEST(NclDifferentialTest, DistinctLossChurnMatchesSetOracle) {
                      /*tied=*/false);
 }
 
+TEST(NclDifferentialTest, HashedIndexTieHeavyChurnMatchesSetOracle) {
+  RunNclDifferential(/*seed=*/31, /*capacity=*/40, /*steps=*/30000,
+                     /*tied=*/true, /*hashed=*/true);
+}
+
+TEST(NclDifferentialTest, HashedIndexDistinctLossChurnMatchesSetOracle) {
+  RunNclDifferential(/*seed=*/37, /*capacity=*/600, /*steps=*/20000,
+                     /*tied=*/false, /*hashed=*/true);
+}
+
 // A cleared store re-fills its old slots (the heap's slot-indexed
 // positions included) and keeps matching the oracle.
 TEST(NclDifferentialTest, ClearReuseKeepsSlotsAndOrder) {
@@ -210,12 +229,13 @@ TEST(NclDifferentialTest, ClearReuseKeepsSlotsAndOrder) {
 }
 
 void RunGdsDifferential(uint64_t seed, uint64_t capacity, int steps,
-                        bool tied) {
+                        bool tied, bool hashed = false) {
   Rng rng(seed);
   GdsCache flat(capacity);
+  flat.SetSparse(hashed);
   RefGdsCache ref(capacity);
   for (int step = 0; step < steps; ++step) {
-    const ObjectId id = static_cast<ObjectId>(rng.NextUint64(120));
+    const ObjectId id = TestId(rng.NextUint64(120), hashed);
     const double cost = tied ? TiedValue(rng) : rng.NextDouble(0.0, 50.0);
     const double dice = rng.NextDouble(0.0, 1.0);
     if (dice < 0.5) {
@@ -245,7 +265,8 @@ void RunGdsDifferential(uint64_t seed, uint64_t capacity, int steps,
     ASSERT_EQ(flat.num_objects(), ref.num_objects()) << "step " << step;
     ASSERT_EQ(flat.inflation(), ref.inflation()) << "step " << step;
     if (step % 97 == 0) {
-      for (ObjectId probe = 0; probe < 120; ++probe) {
+      for (uint64_t raw = 0; raw < 120; ++raw) {
+        const ObjectId probe = TestId(raw, hashed);
         ASSERT_EQ(flat.Contains(probe), ref.Contains(probe))
             << "step " << step;
         if (flat.Contains(probe)) {
@@ -265,6 +286,16 @@ TEST(GdsDifferentialTest, TieHeavyChurnMatchesSetOracle) {
 TEST(GdsDifferentialTest, DistinctCostChurnMatchesSetOracle) {
   RunGdsDifferential(/*seed=*/43, /*capacity=*/600, /*steps=*/30000,
                      /*tied=*/false);
+}
+
+TEST(GdsDifferentialTest, HashedIndexTieHeavyChurnMatchesSetOracle) {
+  RunGdsDifferential(/*seed=*/41, /*capacity=*/40, /*steps=*/40000,
+                     /*tied=*/true, /*hashed=*/true);
+}
+
+TEST(GdsDifferentialTest, HashedIndexDistinctCostChurnMatchesSetOracle) {
+  RunGdsDifferential(/*seed=*/43, /*capacity=*/600, /*steps=*/30000,
+                     /*tied=*/false, /*hashed=*/true);
 }
 
 }  // namespace

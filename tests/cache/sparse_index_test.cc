@@ -1,8 +1,8 @@
 // Tests for the sparse (hashed) mode of the store id->slot table,
-// cache::SlotIndex. Sparse mode backs huge procedural catalogs (> 2^24
-// ids), where dense direct-index tables would blow the memory budget.
-// The stores' eviction heaps are keyed by slot, so they need no sparse
-// mode of their own.
+// cache::SlotIndex. Sparse mode backs every catalog above 2^18 ids
+// (cache::UseHashedIndex), where dense direct-index tables would cost 4
+// bytes x catalog in every store. The stores' eviction heaps are keyed by
+// slot, so they need no sparse mode of their own.
 
 #include <gtest/gtest.h>
 
@@ -89,6 +89,39 @@ TEST(SparseSlotIndexTest, ClearKeepsSparseMode) {
   EXPECT_EQ(index.Get(1'000'000), kNoSlot);
   index.Set(1'000'000, 4);
   EXPECT_EQ(index.Get(1'000'000), 4u);
+}
+
+TEST(SparseSlotIndexTest, ClearKeepsHashedCapacity) {
+  SlotIndex index;
+  index.SetSparse(true);
+  for (trace::ObjectId id = 0; id < 5000; ++id) index.Set(id * 977, id);
+  const size_t span_before = index.span();
+  index.Clear();
+  EXPECT_EQ(index.span(), span_before);
+  for (trace::ObjectId id = 0; id < 5000; ++id) {
+    ASSERT_EQ(index.Get(id * 977), kNoSlot);
+  }
+  // Refilling to the same residency stays inside the kept table.
+  for (trace::ObjectId id = 0; id < 5000; ++id) index.Set(id * 613 + 1, id);
+  EXPECT_EQ(index.span(), span_before);
+  EXPECT_EQ(index.Get(613 * 17 + 1), 17u);
+}
+
+TEST(SparseSlotIndexTest, LoadStaysAtMostAQuarter) {
+  SlotIndex index;
+  index.SetSparse(true);
+  for (trace::ObjectId id = 0; id < 40'000; ++id) {
+    index.Set(id * 31 + 5, id);
+    ASSERT_LE(4 * (static_cast<size_t>(id) + 1), index.span()) << "id " << id;
+  }
+}
+
+TEST(SparseSlotIndexTest, RuleKeepsSmallCatalogsDenseAndLargeHashed) {
+  EXPECT_FALSE(UseHashedIndex(20'000));  // fig9_sweep, hier_overload.
+  EXPECT_FALSE(UseHashedIndex(kDenseIndexMaxIds));
+  EXPECT_TRUE(UseHashedIndex(kDenseIndexMaxIds + 1));
+  EXPECT_TRUE(UseHashedIndex(1'000'000));  // enroute_drift_mapped.
+  EXPECT_TRUE(UseHashedIndex(100'000'000));
 }
 
 TEST(SparseSlotIndexTest, DenseModeUnchangedByDefault) {
