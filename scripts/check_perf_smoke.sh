@@ -45,7 +45,7 @@ fi
 
 echo "== perf smoke: configure + build (Release) =="
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD_DIR" -j --target cascache_tests micro_caches >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target cascache_tests micro_caches >/dev/null
 
 echo "== perf smoke: bit-identity gate (PipelineEquivalenceTest) =="
 "$BUILD_DIR/tests/cascache_tests" --gtest_filter='PipelineEquivalenceTest.*' \

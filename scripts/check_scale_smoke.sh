@@ -69,7 +69,7 @@ WORK_DIR=$(mktemp -d)
 trap 'rm -rf "$WORK_DIR"' EXIT
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j --target cascache_sim --target cascache_trace
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target cascache_sim --target cascache_trace
 SIM="$BUILD_DIR/tools/cascache_sim"
 
 # Common workload shape; only the request count varies between the two

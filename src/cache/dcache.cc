@@ -2,16 +2,6 @@
 
 namespace cascache::cache {
 
-DCache::DCache(size_t max_descriptors, DCachePolicy policy)
-    : capacity_(max_descriptors), policy_(policy) {}
-
-double DCache::PriorityOf(const ObjectDescriptor& desc) const {
-  if (policy_ == DCachePolicy::kLfu) return desc.frequency;
-  // LRU: most recent access time (0 if never accessed); the heap evicts
-  // the minimum, i.e. the least recently accessed descriptor.
-  return desc.num_accesses == 0 ? 0.0 : desc.KthMostRecentAccess(1);
-}
-
 ObjectDescriptor* DCache::Find(ObjectId id) {
   const SlotId slot = index_.Get(id);
   return slot == kNoSlot ? nullptr : &pool_.at(slot);
@@ -23,22 +13,16 @@ const ObjectDescriptor* DCache::Find(ObjectId id) const {
 }
 
 ObjectDescriptor* DCache::Insert(ObjectId id, const ObjectDescriptor& desc) {
-  if (capacity_ == 0) return nullptr;
+  if (heap_.capacity() == 0) return nullptr;
   if (const SlotId slot = index_.Get(id); slot != kNoSlot) {
     ObjectDescriptor& stored = pool_.at(slot);
     stored = desc;
-    heap_.Update(slot, PriorityOf(desc));
+    heap_.Refresh(slot, stored);
     return &stored;
   }
-  if (count_ >= capacity_) {
-    // Admission: do not displace a higher-priority descriptor.
-    if (PriorityOf(desc) < heap_.Top().second) return nullptr;
-    const SlotId victim_slot = heap_.Pop().first;
-    const ObjectId victim = slot_ids_[victim_slot];
-    CASCACHE_CHECK(index_.Get(victim) == victim_slot);
-    index_.Erase(victim);
-    pool_.Free(victim_slot);
-    --count_;
+  const double priority = heap_.PriorityOf(desc);
+  if (!heap_.Admit(priority, [&](SlotId victim) { Release(victim); })) {
+    return nullptr;
   }
   const SlotId slot = pool_.Alloc();
   if (slot >= slot_ids_.size()) slot_ids_.resize(pool_.slot_span());
@@ -46,15 +30,14 @@ ObjectDescriptor* DCache::Insert(ObjectId id, const ObjectDescriptor& desc) {
   ObjectDescriptor& stored = pool_.at(slot);
   stored = desc;
   index_.Set(id, slot);
-  heap_.Push(slot, PriorityOf(desc));
-  ++count_;
+  heap_.Push(slot, priority);
   return &stored;
 }
 
 void DCache::Refresh(ObjectId id, const ObjectDescriptor& desc) {
   const SlotId slot = index_.Get(id);
   if (slot == kNoSlot) return;
-  heap_.Update(slot, PriorityOf(desc));
+  heap_.Refresh(slot, desc);
 }
 
 ObjectDescriptor* DCache::RecordAccess(ObjectId id,
@@ -64,7 +47,7 @@ ObjectDescriptor* DCache::RecordAccess(ObjectId id,
   if (slot == kNoSlot) return nullptr;
   ObjectDescriptor* desc = &pool_.at(slot);
   estimator.OnAccess(desc, now);
-  heap_.Update(slot, PriorityOf(*desc));
+  heap_.Refresh(slot, *desc);
   return desc;
 }
 
@@ -72,29 +55,29 @@ bool DCache::Take(ObjectId id, ObjectDescriptor* out) {
   const SlotId slot = index_.Get(id);
   if (slot == kNoSlot) return false;
   *out = pool_.at(slot);
-  EraseSlot(id, slot);
+  heap_.Erase(slot);
+  Release(slot);
   return true;
 }
 
 bool DCache::Erase(ObjectId id) {
   const SlotId slot = index_.Get(id);
   if (slot == kNoSlot) return false;
-  EraseSlot(id, slot);
+  heap_.Erase(slot);
+  Release(slot);
   return true;
 }
 
-void DCache::EraseSlot(ObjectId id, SlotId slot) {
-  index_.Erase(id);
+void DCache::Release(SlotId slot) {
+  CASCACHE_CHECK(index_.Get(slot_ids_[slot]) == slot);
+  index_.Erase(slot_ids_[slot]);
   pool_.Free(slot);
-  --count_;
-  CASCACHE_CHECK(heap_.Erase(slot));
 }
 
 void DCache::Clear() {
   pool_.Clear();
   index_.Clear();
   heap_.Clear();
-  count_ = 0;
 }
 
 }  // namespace cascache::cache

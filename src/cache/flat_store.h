@@ -131,6 +131,26 @@ class SlotIndex {
 
   bool sparse() const { return sparse_; }
 
+  /// Visits every (id, slot) mapping in unspecified order; `fn` takes
+  /// (trace::ObjectId, SlotId). A scan of the whole table, for invariant
+  /// checks only.
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    if (!sparse_) {
+      for (size_t id = 0; id < slots_.size(); ++id) {
+        if (slots_[id] != kNoSlot) {
+          fn(static_cast<trace::ObjectId>(id), slots_[id]);
+        }
+      }
+      return;
+    }
+    for (const uint64_t b : buckets_) {
+      if (b != kEmptyBucket) {
+        fn(static_cast<trace::ObjectId>(b >> 32), static_cast<SlotId>(b));
+      }
+    }
+  }
+
   /// Number of id slots (dense) or hash buckets (sparse) the table
   /// currently spans (test/debug helper).
   size_t span() const { return sparse_ ? buckets_.size() : slots_.size(); }

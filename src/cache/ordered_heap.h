@@ -45,6 +45,12 @@ class OrderedSlotHeap {
     return entries_[0];
   }
 
+  /// Whether a slot has an entry in the heap.
+  bool Contains(SlotId slot) const {
+    return slot < pos_.size() && pos_[slot] < entries_.size() &&
+           entries_[pos_[slot]].slot == slot;
+  }
+
   /// Key of a slot's entry; the slot must be in the heap.
   double KeyOf(SlotId slot) const {
     CASCACHE_DCHECK(slot < pos_.size() && pos_[slot] < entries_.size());

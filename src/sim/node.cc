@@ -26,9 +26,10 @@ void CacheNode::Reset(const CacheNodeConfig& config) {
   const bool reuse = SameStoreShape(config_, config);
   config_ = config;
   estimator_ = cache::FrequencyEstimator(config.frequency);
-  main_descriptors_.Clear();
+  dir_.Clear();
+  descriptors_.Clear();
   copy_stamps_.Clear();
-  main_descriptors_.SetSparse(config_.sparse_ids);
+  dir_.SetSparse(config_.sparse_ids);
   copy_stamps_.SetSparse(config_.sparse_ids);
   if (reuse) {
     // Same store shape (the common case: crash cold-restarts re-apply the
@@ -71,12 +72,10 @@ void CacheNode::Reset(const CacheNodeConfig& config) {
       lfu_->SetSparse(config_.sparse_ids);
       break;
     case CacheMode::kCost:
-      ncl_ = std::make_unique<cache::NclCache>(config_.capacity_bytes);
-      ncl_->SetSparse(config_.sparse_ids);
+      ncl_ = std::make_unique<cache::NclSlotStore>(config_.capacity_bytes);
       if (config_.dcache_entries > 0) {
-        dcache_ = std::make_unique<cache::DCache>(config_.dcache_entries,
-                                                  config_.dcache_policy);
-        dcache_->SetSparse(config_.sparse_ids);
+        dcache_ = std::make_unique<cache::DCacheSlotHeap>(
+            config_.dcache_entries, config_.dcache_policy);
       }
       break;
   }
@@ -103,12 +102,11 @@ bool CacheNode::EraseObject(ObjectId id) {
   if (lru_ != nullptr) return lru_->Erase(id);
   if (gds_ != nullptr) return gds_->Erase(id);
   if (lfu_ != nullptr) return lfu_->Erase(id);
-  if (!ncl_->Erase(id)) return false;
+  const cache::SlotId slot = dir_.Get(id);
+  if (slot >= kInDCache) return false;  // Unknown, or d-cache only.
   // Demote the descriptor so the access history survives the drop.
-  if (ObjectDescriptor* desc = main_descriptors_.Find(id); desc != nullptr) {
-    if (dcache_ != nullptr) dcache_->Insert(id, *desc);
-    main_descriptors_.Erase(id);
-  }
+  ncl_->Erase(slot);
+  Demote(id, slot);
   return true;
 }
 
@@ -161,130 +159,202 @@ bool CacheNode::CheckInvariants() const {
     if (!included) return false;
   }
   if (ncl_ == nullptr) {
-    return main_descriptors_.size() == 0;
+    return descriptors_.slot_span() == 0 && dcache_ == nullptr;
   }
-  if (ncl_->num_objects() != main_descriptors_.size()) return false;
-  bool ok = true;
-  main_descriptors_.ForEach(
-      [&](ObjectId id, const ObjectDescriptor& desc) {
-        if (!ncl_->Contains(id)) ok = false;
-        if (dcache_ != nullptr && dcache_->Contains(id)) ok = false;
-        if (desc.size == 0) ok = false;
-      });
-  return ok;
+  return CheckCostInvariants();
 }
 
-ObjectDescriptor* CacheNode::FindDescriptor(ObjectId id) {
-  if (ObjectDescriptor* desc = main_descriptors_.Find(id); desc != nullptr) {
-    return desc;
+bool CacheNode::CheckCostInvariants() const {
+  if (!ncl_->CheckInvariants()) return false;
+  if (dcache_ != nullptr && !dcache_->CheckInvariants()) return false;
+  const size_t span = descriptors_.slot_span();
+  if (slot_ids_.size() < span) return false;
+  // Directory → heaps: each entry names a slot owned by the heap its bit
+  // selects, registered under the same id.
+  bool ok = true;
+  size_t cached = 0;
+  size_t tracked = 0;
+  dir_.ForEach([&](ObjectId id, cache::SlotId entry) {
+    const cache::SlotId slot = entry & ~kInDCache;
+    if (slot >= span || slot_ids_[slot] != id) {
+      ok = false;
+      return;
+    }
+    if ((entry & kInDCache) == 0) {
+      ++cached;
+      if (!ncl_->Contains(slot) ||
+          (dcache_ != nullptr && dcache_->Contains(slot)) ||
+          ncl_->SizeOf(slot) != descriptors_.at(slot).size) {
+        ok = false;
+      }
+    } else {
+      ++tracked;
+      if (dcache_ == nullptr || !dcache_->Contains(slot) ||
+          ncl_->Contains(slot)) {
+        ok = false;
+      }
+    }
+  });
+  if (!ok) return false;
+  // Heaps → directory: with the counts equal, the map is a bijection.
+  if (cached != ncl_->num_objects() || tracked != dcache_size()) return false;
+  ncl_->VisitAscending([&](const cache::OrderedSlotHeap::Entry& entry) {
+    ok = dir_.Get(entry.id) == entry.slot;
+    return ok;
+  });
+  if (!ok) return false;
+  if (dcache_ != nullptr) {
+    for (const auto& [slot, priority] : dcache_->entries()) {
+      if (dir_.Get(slot_ids_[slot]) != (slot | kInDCache) ||
+          priority != dcache_->PriorityOf(descriptors_.at(slot))) {
+        return false;
+      }
+    }
   }
-  if (dcache_ != nullptr) return dcache_->Find(id);
-  return nullptr;
+  // Every pool slot is live in exactly one heap or on the free list.
+  return span - descriptors_.free_count() == cached + tracked;
+}
+
+double CacheNode::LossOf(ObjectId id) const {
+  const cache::SlotId slot = dir_.Get(id);
+  CASCACHE_CHECK_MSG(ncl_ != nullptr && slot < kInDCache, "object not cached");
+  return ncl_->LossOf(slot);
+}
+
+cache::SlotId CacheNode::AllocSlot(ObjectId id) {
+  const cache::SlotId slot = descriptors_.Alloc();
+  CASCACHE_CHECK(slot < kInDCache);
+  if (slot >= slot_ids_.size()) slot_ids_.resize(descriptors_.slot_span());
+  slot_ids_[slot] = id;
+  return slot;
+}
+
+void CacheNode::DropSlot(cache::SlotId slot) {
+  dir_.Erase(slot_ids_[slot]);
+  descriptors_.Free(slot);
+}
+
+void CacheNode::Demote(ObjectId id, cache::SlotId slot) {
+  if (dcache_ != nullptr) {
+    const double priority = dcache_->PriorityOf(descriptors_.at(slot));
+    if (dcache_->Admit(priority,
+                       [this](cache::SlotId victim) { DropSlot(victim); })) {
+      dcache_->Push(slot, priority);
+      dir_.Set(id, slot | kInDCache);
+      return;
+    }
+  }
+  dir_.Erase(id);
+  descriptors_.Free(slot);
 }
 
 ObjectDescriptor* CacheNode::RecordAccess(ObjectId id, double now) {
-  // One probe per table: the main table, then (only for an object not
-  // cached here) the d-cache, which records and re-prioritizes in place.
-  if (ObjectDescriptor* desc = main_descriptors_.Find(id); desc != nullptr) {
-    estimator_.OnAccess(desc, now);
-    RefreshLossOf(id, desc, now);
-    return desc;
+  const cache::SlotId entry = dir_.Get(id);
+  if (entry == cache::kNoSlot) return nullptr;
+  const cache::SlotId slot = entry & ~kInDCache;
+  ObjectDescriptor* desc = &descriptors_.at(slot);
+  estimator_.OnAccess(desc, now);
+  if (entry == slot) {
+    RefreshLossAt(slot, desc, now);
+  } else {
+    dcache_->Refresh(slot, *desc);
   }
-  if (dcache_ != nullptr) return dcache_->RecordAccess(id, estimator_, now);
-  return nullptr;
+  return desc;
 }
 
 ObjectDescriptor* CacheNode::AdmitDescriptor(ObjectId id, uint64_t size,
                                              double now) {
-  CASCACHE_CHECK(!DescriptorInMain(id));
+  const cache::SlotId entry = dir_.Get(id);
+  CASCACHE_CHECK(entry >= kInDCache);  // Not cached here.
+  if (entry != cache::kNoSlot) return &descriptors_.at(entry & ~kInDCache);
   if (dcache_ == nullptr) return nullptr;
-  if (ObjectDescriptor* existing = dcache_->Find(id); existing != nullptr) {
-    return existing;
-  }
   ObjectDescriptor desc;
   desc.size = size;
   estimator_.OnAccess(&desc, now);  // Record the access that brought it in.
-  return dcache_->Insert(id, desc);
+  const double priority = dcache_->PriorityOf(desc);
+  if (!dcache_->Admit(priority,
+                      [this](cache::SlotId victim) { DropSlot(victim); })) {
+    return nullptr;
+  }
+  const cache::SlotId slot = AllocSlot(id);
+  ObjectDescriptor* stored = &descriptors_.at(slot);
+  *stored = desc;
+  dcache_->Push(slot, priority);
+  dir_.Set(id, slot | kInDCache);
+  return stored;
 }
 
 void CacheNode::UpdateMissPenalty(ObjectId id, double miss_penalty,
                                   double now) {
-  if (ObjectDescriptor* desc = main_descriptors_.Find(id); desc != nullptr) {
-    desc->miss_penalty = miss_penalty;
-    RefreshLossOf(id, desc, now);
-  } else if (dcache_ != nullptr) {
-    if (ObjectDescriptor* desc = dcache_->Find(id); desc != nullptr) {
-      desc->miss_penalty = miss_penalty;
-    }
-  }
+  const cache::SlotId entry = dir_.Get(id);
+  if (entry == cache::kNoSlot) return;
+  const cache::SlotId slot = entry & ~kInDCache;
+  ObjectDescriptor* desc = &descriptors_.at(slot);
+  desc->miss_penalty = miss_penalty;
+  // A d-cache priority does not depend on the miss penalty.
+  if (entry == slot) RefreshLossAt(slot, desc, now);
 }
 
-cache::NclCache::EvictionPlan CacheNode::PlanEvictionFor(
+cache::NclSlotStore::EvictionPlan CacheNode::PlanEvictionFor(
     uint64_t size) const {
-  CASCACHE_CHECK(ncl_ != nullptr);
-  return ncl_->PlanEviction(size);
-}
-
-void CacheNode::PlanEvictionInto(uint64_t size,
-                                 cache::NclCache::EvictionPlan* plan) const {
-  CASCACHE_CHECK(ncl_ != nullptr);
-  ncl_->PlanEvictionInto(size, plan);
+  cache::NclSlotStore::EvictionPlan plan;
+  PlanEvictionInto(size, &plan);
+  return plan;
 }
 
 bool CacheNode::InsertCost(ObjectId id, uint64_t size, double miss_penalty,
                            double now, std::vector<ObjectId>* evicted_out) {
   CASCACHE_CHECK(ncl_ != nullptr);
   if (evicted_out != nullptr) evicted_out->clear();
-  if (ncl_->Contains(id)) {
-    UpdateMissPenalty(id, miss_penalty, now);
+  cache::SlotId slot = dir_.Get(id);
+  if (slot < kInDCache) {  // Already cached: refresh the penalty only.
+    ObjectDescriptor* desc = &descriptors_.at(slot);
+    desc->miss_penalty = miss_penalty;
+    RefreshLossAt(slot, desc, now);
     return false;
   }
   if (size > config_.capacity_bytes) return false;
 
-  // Promote (or create) the descriptor, preserving access history.
-  ObjectDescriptor desc;
-  if (dcache_ != nullptr) dcache_->Take(id, &desc);
-  if (desc.num_accesses == 0) {
-    estimator_.OnAccess(&desc, now);
+  // Promote the descriptor out of the d-cache, preserving its access
+  // history, or create one.
+  ObjectDescriptor* desc;
+  if (slot != cache::kNoSlot) {
+    slot &= ~kInDCache;
+    dcache_->Erase(slot);
+    desc = &descriptors_.at(slot);
+  } else {
+    slot = AllocSlot(id);
+    desc = &descriptors_.at(slot);
+    *desc = ObjectDescriptor();
   }
-  desc.size = size;
-  desc.miss_penalty = miss_penalty;
-  const double frequency = estimator_.Estimate(&desc, now);
-  const double loss = frequency * miss_penalty;
+  if (desc->num_accesses == 0) estimator_.OnAccess(desc, now);
+  desc->size = size;
+  desc->miss_penalty = miss_penalty;
+  const double loss = estimator_.Estimate(desc, now) * miss_penalty;
 
-  bool inserted = false;
-  const std::vector<ObjectId>& evicted =
-      ncl_->InsertAbsent(id, size, loss, &inserted);
-  CASCACHE_CHECK(inserted);
-
-  // Demote evicted objects' descriptors to the d-cache (their history is
-  // worth keeping; LFU admission may still reject cold ones).
-  for (ObjectId victim : evicted) {
-    ObjectDescriptor* victim_desc = main_descriptors_.Find(victim);
-    CASCACHE_CHECK(victim_desc != nullptr);
-    if (dcache_ != nullptr) {
-      dcache_->Insert(victim, *victim_desc);
-    }
-    main_descriptors_.Erase(victim);
-  }
-  main_descriptors_.Insert(id, desc);
-  if (evicted_out != nullptr) *evicted_out = evicted;
+  // Evicted objects' descriptors move to the d-cache (their history is
+  // worth keeping; its admission rule may still reject cold ones).
+  ncl_->Insert(id, slot, size, loss,
+               [&](ObjectId victim, cache::SlotId victim_slot) {
+                 Demote(victim, victim_slot);
+                 if (evicted_out != nullptr) evicted_out->push_back(victim);
+               });
+  dir_.Set(id, slot);
   return true;
 }
 
 void CacheNode::RefreshLoss(ObjectId id, double now) {
   CASCACHE_CHECK(ncl_ != nullptr);
-  ObjectDescriptor* desc = main_descriptors_.Find(id);
-  CASCACHE_CHECK_MSG(desc != nullptr,
+  const cache::SlotId slot = dir_.Get(id);
+  CASCACHE_CHECK_MSG(slot < kInDCache,
                      "RefreshLoss on object without main descriptor");
-  RefreshLossOf(id, desc, now);
+  RefreshLossAt(slot, &descriptors_.at(slot), now);
 }
 
-void CacheNode::RefreshLossOf(ObjectId id, ObjectDescriptor* desc,
+void CacheNode::RefreshLossAt(cache::SlotId slot, ObjectDescriptor* desc,
                               double now) {
-  CASCACHE_CHECK(ncl_ != nullptr);
   const double frequency = estimator_.Estimate(desc, now);
-  ncl_->UpdateLoss(id, frequency * desc->miss_penalty);
+  ncl_->UpdateLoss(slot, frequency * desc->miss_penalty);
 }
 
 }  // namespace cascache::sim

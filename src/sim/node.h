@@ -6,7 +6,6 @@
 
 #include "cache/dcache.h"
 #include "cache/descriptor.h"
-#include "cache/descriptor_table.h"
 #include "cache/flat_lru.h"
 #include "cache/flat_store.h"
 #include "cache/frequency.h"
@@ -68,11 +67,16 @@ struct CacheNodeConfig {
 /// hot non-cached objects (paper §2.3-2.4). Schemes drive it through the
 /// mode-specific methods below; the simulator only queries Contains().
 ///
-/// All stores are flat (struct-of-arrays slot pools + direct-index
-/// id→slot tables over the closed catalog); Reset() recycles pooled
-/// slots in place when the configuration is unchanged (crash cold
-/// restarts re-fill warm memory) and is required to leave no stale index
-/// entries behind.
+/// All stores are flat: struct-of-arrays slot pools behind id→slot
+/// tables (SlotIndex), dense or hashed by cache::UseHashedIndex. A
+/// cost-mode node keeps one such table, its *directory*: each id it knows
+/// maps to one slot of one descriptor pool plus an "in d-cache" bit. The
+/// NCL store (NclSlotStore) and the d-cache order (DCacheSlotHeap) are
+/// keyed by that slot, so every cost-mode operation probes the directory
+/// once, and caching or evicting an object moves its slot between the two
+/// without copying its descriptor. Reset() recycles pooled slots in place
+/// when the configuration is unchanged (crash cold restarts re-fill warm
+/// memory) and is required to leave no stale index entries behind.
 class CacheNode {
  public:
   CacheNode(topology::NodeId id, const CacheNodeConfig& config);
@@ -91,7 +95,9 @@ class CacheNode {
     if (lru_ != nullptr) return lru_->Contains(id);
     if (gds_ != nullptr) return gds_->Contains(id);
     if (lfu_ != nullptr) return lfu_->Contains(id);
-    return ncl_->Contains(id);
+    // Cached iff the directory holds the id without the d-cache bit
+    // (kNoSlot has every bit set).
+    return dir_.Get(id) < kInDCache;
   }
 
   /// Advisory prefetch of the Contains() probe line for `id` (see
@@ -105,7 +111,7 @@ class CacheNode {
     } else if (lfu_ != nullptr) {
       lfu_->PrefetchProbe(id);
     } else {
-      ncl_->PrefetchProbe(id);
+      dir_.Prefetch(id);
     }
   }
 
@@ -168,8 +174,11 @@ class CacheNode {
   const CopyStamp* FindCopy(ObjectId id) const;
 
   /// Structural invariants, used by tests and debug sweeps: byte usage
-  /// within capacity; in cost mode, the cached-object set and the main
-  /// descriptor table coincide and are disjoint from the d-cache.
+  /// within capacity, RAM-tier inclusion, and in cost mode the directory,
+  /// the NCL heap, the d-cache heap and the descriptor pool agree: every
+  /// directory entry names a live slot owned by exactly the heap its bit
+  /// says, with the same id; store sizes match the descriptors; d-cache
+  /// priorities match the policy; counts and bytes add up.
   bool CheckInvariants() const;
 
   uint64_t used_bytes() const;
@@ -204,21 +213,42 @@ class CacheNode {
 
   // --- Cost mode ----------------------------------------------------------
 
-  cache::NclCache* ncl() {
-    CASCACHE_CHECK_MSG(ncl_ != nullptr, "node is not in cost mode");
-    return ncl_.get();
-  }
-  cache::DCache* dcache() { return dcache_.get(); }
-
-  /// Descriptor of an object, whether cached (main table) or tracked in
+  /// Descriptor of an object, whether cached (main cache) or tracked in
   /// the d-cache; nullptr if unknown at this node.
-  ObjectDescriptor* FindDescriptor(ObjectId id);
-
-  /// True if the object's descriptor lives in the main table (object is
-  /// cached here).
-  bool DescriptorInMain(ObjectId id) const {
-    return main_descriptors_.Contains(id);
+  ObjectDescriptor* FindDescriptor(ObjectId id) {
+    const cache::SlotId entry = dir_.Get(id);
+    return entry == cache::kNoSlot ? nullptr
+                                   : &descriptors_.at(entry & ~kInDCache);
   }
+
+  /// True if the object's descriptor sits beside a cached copy here (cost
+  /// mode: the object is cached here).
+  bool DescriptorInMain(ObjectId id) const {
+    return ncl_ != nullptr && dir_.Get(id) < kInDCache;
+  }
+
+  /// True if the object's descriptor is in the d-cache (known here, not
+  /// cached here).
+  bool DescriptorInDCache(ObjectId id) const {
+    const cache::SlotId entry = dir_.Get(id);
+    return entry != cache::kNoSlot && (entry & kInDCache) != 0;
+  }
+
+  /// Cost loss f·m recorded in the NCL store for a cached object. Cost
+  /// mode; the object must be cached.
+  double LossOf(ObjectId id) const;
+
+  /// d-cache capacity and occupancy in descriptors (0 when disabled).
+  size_t dcache_capacity() const {
+    return dcache_ != nullptr ? dcache_->capacity() : 0;
+  }
+  size_t dcache_size() const {
+    return dcache_ != nullptr ? dcache_->size() : 0;
+  }
+
+  /// High-water slot count of the cost-mode descriptor pool (test helper
+  /// for in-place reuse after Reset).
+  size_t descriptor_slot_span() const { return descriptors_.slot_span(); }
 
   /// Records an access on the object's descriptor if the node knows the
   /// object; refreshes its frequency estimate and, for cached objects,
@@ -239,17 +269,21 @@ class CacheNode {
 
   /// Greedy NCL eviction preview for inserting `size` bytes (paper §2.1's
   /// l computation). Cost mode only.
-  cache::NclCache::EvictionPlan PlanEvictionFor(uint64_t size) const;
+  cache::NclSlotStore::EvictionPlan PlanEvictionFor(uint64_t size) const;
 
   /// Allocation-free variant: fills a caller-owned plan, reusing its
   /// victims buffer (hot path of the coordinated request ascent).
   void PlanEvictionInto(uint64_t size,
-                        cache::NclCache::EvictionPlan* plan) const;
+                        cache::NclSlotStore::EvictionPlan* plan) const {
+    CASCACHE_CHECK(ncl_ != nullptr);
+    ncl_->PlanEvictionInto(size, plan);
+  }
 
   /// Inserts an object into the cost-mode store with the given miss
   /// penalty. The object's descriptor is promoted from the d-cache (or
   /// created), the access history is preserved, evicted objects'
-  /// descriptors are demoted to the d-cache. Returns whether the object
+  /// descriptors are demoted to the d-cache (subject to its admission
+  /// rule; a rejected one is forgotten). Returns whether the object
   /// was stored; `evicted_out`, when given, receives the victims the
   /// insertion pushed out (empty on rejection), reusing its capacity.
   bool InsertCost(ObjectId id, uint64_t size, double miss_penalty,
@@ -260,8 +294,20 @@ class CacheNode {
   void RefreshLoss(ObjectId id, double now);
 
  private:
-  /// RefreshLoss for a main-table descriptor already in hand.
-  void RefreshLossOf(ObjectId id, ObjectDescriptor* desc, double now);
+  /// Directory entry bit: the slot's descriptor is in the d-cache, not
+  /// beside a cached copy. Slots stay below it.
+  static constexpr cache::SlotId kInDCache = cache::SlotId{1} << 31;
+
+  /// RefreshLoss for a cached object's slot and descriptor in hand.
+  void RefreshLossAt(cache::SlotId slot, ObjectDescriptor* desc, double now);
+  /// Takes a fresh descriptor slot for `id` (contents stale).
+  cache::SlotId AllocSlot(ObjectId id);
+  /// Forgets a d-cache victim: its directory entry and slot.
+  void DropSlot(cache::SlotId slot);
+  /// Moves the slot of an object that just left the NCL store into the
+  /// d-cache, or forgets it when the d-cache is off or rejects it.
+  void Demote(ObjectId id, cache::SlotId slot);
+  bool CheckCostInvariants() const;
 
   topology::NodeId id_;
   CacheNodeConfig config_;
@@ -270,13 +316,17 @@ class CacheNode {
   std::unique_ptr<cache::FlatLru> lru_;
   /// Inclusive RAM tier over the mode store (nullptr = untiered).
   std::unique_ptr<cache::FlatLru> ram_;
-  std::unique_ptr<cache::NclCache> ncl_;
   std::unique_ptr<cache::GdsCache> gds_;
   std::unique_ptr<cache::LfuCache> lfu_;
-  std::unique_ptr<cache::DCache> dcache_;
-  /// Descriptors of objects currently in the cost-mode main cache
-  /// (chunked pool: stable pointers, no per-descriptor allocation).
-  cache::DescriptorTable main_descriptors_;
+  // Cost mode: the directory (id → descriptor slot | kInDCache) over one
+  // chunked descriptor pool (stable pointers), the slot→id map naming a
+  // popped d-cache victim, and the two slot-keyed orders. ncl_ is
+  // non-null exactly in cost mode; dcache_ is null when it is disabled.
+  cache::SlotIndex dir_;
+  cache::ChunkedSlotPool<ObjectDescriptor> descriptors_;
+  std::vector<ObjectId> slot_ids_;
+  std::unique_ptr<cache::NclSlotStore> ncl_;
+  std::unique_ptr<cache::DCacheSlotHeap> dcache_;
   /// Freshness stamps of cached copies (populated only when the simulator
   /// runs with coherency tracking). May contain leftover stamps for
   /// objects the store evicted internally; consumers must check

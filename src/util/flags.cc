@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 namespace cascache::util {
@@ -18,6 +20,48 @@ bool ParseBoolText(const std::string& text, bool* out) {
   return false;
 }
 
+/// Parses a whole base-10 signed integer within [min, max].
+Status ParseSigned(const std::string& name, const std::string& value,
+                   long long min, long long max, long long* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0') {
+    return Status::InvalidArgument("bad integer for --" + name + ": " + value);
+  }
+  if (errno == ERANGE || parsed < min || parsed > max) {
+    return Status::InvalidArgument("integer out of range for --" + name +
+                                   ": " + value + " (expected " +
+                                   std::to_string(min) + " to " +
+                                   std::to_string(max) + ")");
+  }
+  *out = parsed;
+  return Status::Ok();
+}
+
+/// Parses a whole base-10 unsigned integer at most `max`. strtoull would
+/// accept a sign and negate, so a leading '-' is rejected up front.
+Status ParseUnsigned(const std::string& name, const std::string& value,
+                     unsigned long long max, unsigned long long* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed =
+      value.empty() || value[0] == '-'
+          ? 0
+          : std::strtoull(value.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0') {
+    return Status::InvalidArgument("bad unsigned for --" + name + ": " +
+                                   value);
+  }
+  if (errno == ERANGE || parsed > max) {
+    return Status::InvalidArgument("unsigned out of range for --" + name +
+                                   ": " + value + " (expected at most " +
+                                   std::to_string(max) + ")");
+  }
+  *out = parsed;
+  return Status::Ok();
+}
+
 }  // namespace
 
 void FlagParser::AddString(const std::string& name,
@@ -26,6 +70,22 @@ void FlagParser::AddString(const std::string& name,
   CASCACHE_CHECK(out != nullptr);
   *out = default_value;
   flags_.push_back({name, Type::kString, help, default_value, out});
+}
+
+void FlagParser::AddInt(const std::string& name, int default_value,
+                        const std::string& help, int* out) {
+  CASCACHE_CHECK(out != nullptr);
+  *out = default_value;
+  flags_.push_back(
+      {name, Type::kInt, help, std::to_string(default_value), out});
+}
+
+void FlagParser::AddUint32(const std::string& name, uint32_t default_value,
+                           const std::string& help, uint32_t* out) {
+  CASCACHE_CHECK(out != nullptr);
+  *out = default_value;
+  flags_.push_back(
+      {name, Type::kUint32, help, std::to_string(default_value), out});
 }
 
 void FlagParser::AddInt64(const std::string& name, int64_t default_value,
@@ -85,26 +145,32 @@ Status FlagParser::SetValue(const Flag& flag, const std::string& value) {
     case Type::kString:
       *static_cast<std::string*>(flag.out) = value;
       return Status::Ok();
+    case Type::kInt:
     case Type::kInt64: {
-      const long long parsed = std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0') {
-        return Status::InvalidArgument("bad integer for --" + flag.name +
-                                       ": " + value);
+      const bool narrow = flag.type == Type::kInt;
+      long long parsed = 0;
+      CASCACHE_RETURN_IF_ERROR(ParseSigned(flag.name, value,
+                                           narrow ? INT_MIN : LLONG_MIN,
+                                           narrow ? INT_MAX : LLONG_MAX,
+                                           &parsed));
+      if (narrow) {
+        *static_cast<int*>(flag.out) = static_cast<int>(parsed);
+      } else {
+        *static_cast<int64_t*>(flag.out) = parsed;
       }
-      *static_cast<int64_t*>(flag.out) = parsed;
       return Status::Ok();
     }
+    case Type::kUint32:
     case Type::kUint64: {
-      if (value.empty() || value[0] == '-') {
-        return Status::InvalidArgument("bad unsigned for --" + flag.name +
-                                       ": " + value);
+      const bool narrow = flag.type == Type::kUint32;
+      unsigned long long parsed = 0;
+      CASCACHE_RETURN_IF_ERROR(ParseUnsigned(
+          flag.name, value, narrow ? UINT32_MAX : ULLONG_MAX, &parsed));
+      if (narrow) {
+        *static_cast<uint32_t*>(flag.out) = static_cast<uint32_t>(parsed);
+      } else {
+        *static_cast<uint64_t*>(flag.out) = parsed;
       }
-      const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-      if (*end != '\0') {
-        return Status::InvalidArgument("bad unsigned for --" + flag.name +
-                                       ": " + value);
-      }
-      *static_cast<uint64_t*>(flag.out) = parsed;
       return Status::Ok();
     }
     case Type::kDouble: {

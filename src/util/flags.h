@@ -16,9 +16,15 @@ namespace cascache::util {
 class FlagParser {
  public:
   /// All Add* calls must happen before Parse. The pointees receive the
-  /// default immediately and the parsed value on success.
+  /// default immediately and the parsed value on success. An integer
+  /// value outside its pointee's type (int, uint32_t, int64_t, uint64_t)
+  /// is an InvalidArgument error, never a saturated or wrapped value.
   void AddString(const std::string& name, const std::string& default_value,
                  const std::string& help, std::string* out);
+  void AddInt(const std::string& name, int default_value,
+              const std::string& help, int* out);
+  void AddUint32(const std::string& name, uint32_t default_value,
+                 const std::string& help, uint32_t* out);
   void AddInt64(const std::string& name, int64_t default_value,
                 const std::string& help, int64_t* out);
   void AddUint64(const std::string& name, uint64_t default_value,
@@ -42,7 +48,7 @@ class FlagParser {
   std::string Usage(const std::string& program) const;
 
  private:
-  enum class Type { kString, kInt64, kUint64, kDouble, kBool };
+  enum class Type { kString, kInt, kUint32, kInt64, kUint64, kDouble, kBool };
 
   struct Flag {
     std::string name;

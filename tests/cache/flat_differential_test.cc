@@ -1,6 +1,6 @@
 // Differential tests for the flat cache plane: the production stores
 // (FlatLru over a struct-of-arrays slot pool, DCache over a pooled
-// descriptor table) are driven through long random operation sequences in
+// descriptor pool) are driven through long random operation sequences in
 // lock-step with the historical node-based implementations kept as
 // oracles in tests/testing/ref_caches.h. Every observable — return
 // values, membership, byte accounting, eviction order, descriptor
@@ -11,11 +11,9 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_map>
 #include <vector>
 
 #include "cache/dcache.h"
-#include "cache/descriptor_table.h"
 #include "cache/flat_lru.h"
 #include "testing/ref_caches.h"
 #include "util/random.h"
@@ -208,62 +206,6 @@ TEST(DCacheDifferentialTest, ZeroCapacityRejectsEverywhere) {
   EXPECT_EQ(ref.Insert(7, desc), nullptr);
   EXPECT_FALSE(flat.Contains(7));
   EXPECT_FALSE(ref.Contains(7));
-}
-
-// The cost-mode main descriptor table against a hash map: insert,
-// overwrite, find, erase and clear churn, with pointer stability checked
-// for the descriptors that survive, and ForEach visiting exactly the
-// live entries.
-void RunDescriptorTableChurn(bool hashed) {
-  Rng rng(hashed ? 53 : 47);
-  DescriptorTable table;
-  table.SetSparse(hashed);
-  std::unordered_map<ObjectId, ObjectDescriptor> ref;
-  std::unordered_map<ObjectId, const ObjectDescriptor*> pinned;
-  double now = 0.0;
-  for (int step = 0; step < 60000; ++step) {
-    now += 1.0;
-    const ObjectId id = TestId(rng.NextUint64(250), hashed);
-    const double dice = rng.NextDouble(0.0, 1.0);
-    if (dice < 0.45) {
-      const ObjectDescriptor desc = RandomDescriptor(rng, now);
-      const ObjectDescriptor* stored = table.Insert(id, desc);
-      ref[id] = desc;
-      // A slot is stable for as long as its id stays resident.
-      if (auto it = pinned.find(id); it != pinned.end()) {
-        ASSERT_EQ(stored, it->second) << "step " << step;
-      }
-      pinned[id] = stored;
-    } else if (dice < 0.75) {
-      auto it = ref.find(id);
-      AssertDescriptorsEqual(table.Find(id),
-                             it == ref.end() ? nullptr : &it->second, step);
-    } else if (dice < 0.995) {
-      ASSERT_EQ(table.Erase(id), ref.erase(id) == 1) << "step " << step;
-      pinned.erase(id);
-    } else {
-      table.Clear();
-      ref.clear();
-      pinned.clear();
-    }
-    ASSERT_EQ(table.size(), ref.size()) << "step " << step;
-  }
-  size_t visited = 0;
-  table.ForEach([&](ObjectId id, const ObjectDescriptor& desc) {
-    ++visited;
-    auto it = ref.find(id);
-    ASSERT_NE(it, ref.end()) << "id " << id;
-    AssertDescriptorsEqual(&desc, &it->second, -1);
-  });
-  EXPECT_EQ(visited, ref.size());
-}
-
-TEST(DescriptorTableDifferentialTest, DenseChurnMatchesMap) {
-  RunDescriptorTableChurn(/*hashed=*/false);
-}
-
-TEST(DescriptorTableDifferentialTest, HashedChurnMatchesMap) {
-  RunDescriptorTableChurn(/*hashed=*/true);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@ namespace cascache::schemes {
 namespace {
 
 using cascache::testing::At;
+using cascache::testing::DCacheDescriptor;
 using cascache::testing::MakeCatalog;
 using cascache::testing::MakeChainNetwork;
 using sim::CacheNodeConfig;
@@ -57,10 +58,10 @@ TEST_F(CoordinatedSchemeTest, FirstRequestOnlySeedsDescriptors) {
   EXPECT_EQ(scheme_.stats().dp_runs, 0u);
   // Miss penalties accumulate from the origin: root=1, node1=2, node2=3,
   // leaf=4 (unit links, size_scale 1, virtual server link 1).
-  EXPECT_DOUBLE_EQ(network_->node(0)->dcache()->Find(0)->miss_penalty, 1.0);
-  EXPECT_DOUBLE_EQ(network_->node(1)->dcache()->Find(0)->miss_penalty, 2.0);
-  EXPECT_DOUBLE_EQ(network_->node(2)->dcache()->Find(0)->miss_penalty, 3.0);
-  EXPECT_DOUBLE_EQ(network_->node(3)->dcache()->Find(0)->miss_penalty, 4.0);
+  EXPECT_DOUBLE_EQ(DCacheDescriptor(network_->node(0), 0)->miss_penalty, 1.0);
+  EXPECT_DOUBLE_EQ(DCacheDescriptor(network_->node(1), 0)->miss_penalty, 2.0);
+  EXPECT_DOUBLE_EQ(DCacheDescriptor(network_->node(2), 0)->miss_penalty, 3.0);
+  EXPECT_DOUBLE_EQ(DCacheDescriptor(network_->node(3), 0)->miss_penalty, 4.0);
 }
 
 TEST_F(CoordinatedSchemeTest, SecondRequestPlacesAtClientEdgeOnly) {
@@ -101,14 +102,15 @@ TEST_F(CoordinatedSchemeTest, InsertedCopyResetsDownstreamPenalty) {
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);  // Leaf caches the object.
   ASSERT_TRUE(network_->node(3)->Contains(0));
-  network_->node(3)->ncl()->Erase(0);  // Forcibly drop the copy (keep desc).
+  // Forcibly drop the copy; its descriptor moves to the d-cache.
+  ASSERT_TRUE(network_->node(3)->EraseObject(0));
 
   simulator.Step(At(3.0, 0), false);  // Origin serves again.
   // The object is re-placed at the leaf (it is clearly hot there now).
   EXPECT_TRUE(network_->node(3)->Contains(0));
   // Upstream d-cache descriptors saw the response pass: node2's miss
   // penalty is its distance to the origin copy (3 links).
-  EXPECT_DOUBLE_EQ(network_->node(2)->dcache()->Find(0)->miss_penalty, 3.0);
+  EXPECT_DOUBLE_EQ(DCacheDescriptor(network_->node(2), 0)->miss_penalty, 3.0);
 }
 
 TEST_F(CoordinatedSchemeTest, HotObjectDisplacesColdUnderContention) {

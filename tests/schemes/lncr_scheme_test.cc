@@ -9,6 +9,7 @@ namespace cascache::schemes {
 namespace {
 
 using cascache::testing::At;
+using cascache::testing::DCacheDescriptor;
 using cascache::testing::MakeCatalog;
 using cascache::testing::MakeChainNetwork;
 using sim::CacheNodeConfig;
@@ -86,7 +87,7 @@ TEST_F(LncrSchemeTest, DCacheTracksNonCachedObjects) {
   simulator.Step(At(2.0, 1), false);  // Evicts object 0 everywhere.
   // Object 0's descriptor must survive in the leaf's d-cache (demoted on
   // eviction) with its access history.
-  const cache::ObjectDescriptor* desc = network_->node(3)->dcache()->Find(0);
+  const cache::ObjectDescriptor* desc = DCacheDescriptor(network_->node(3), 0);
   ASSERT_NE(desc, nullptr);
   EXPECT_GE(desc->num_accesses, 1);
 }

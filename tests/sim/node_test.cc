@@ -29,13 +29,13 @@ TEST(CacheNodeTest, LruModeBasics) {
   EXPECT_TRUE(node.Contains(1));
   EXPECT_EQ(node.used_bytes(), 100u);
   EXPECT_EQ(node.num_cached_objects(), 1u);
-  EXPECT_EQ(node.dcache(), nullptr);
+  EXPECT_EQ(node.dcache_capacity(), 0u);
 }
 
 TEST(CacheNodeTest, CostModeBasics) {
   CacheNode node(0, CostConfig());
   EXPECT_EQ(node.mode(), CacheMode::kCost);
-  EXPECT_NE(node.dcache(), nullptr);
+  EXPECT_EQ(node.dcache_capacity(), 8u);
   EXPECT_FALSE(node.Contains(1));
   EXPECT_EQ(node.FindDescriptor(1), nullptr);
 }
@@ -81,7 +81,7 @@ TEST(CacheNodeTest, InsertCostPromotesDescriptorFromDCache) {
   ASSERT_TRUE(node.InsertCost(7, 100, /*miss_penalty=*/4.0, 3.0));
   EXPECT_TRUE(node.Contains(7));
   EXPECT_TRUE(node.DescriptorInMain(7));
-  EXPECT_FALSE(node.dcache()->Contains(7));  // Moved, not copied.
+  EXPECT_FALSE(node.DescriptorInDCache(7));  // Moved, not copied.
   const ObjectDescriptor* desc = node.FindDescriptor(7);
   ASSERT_NE(desc, nullptr);
   EXPECT_DOUBLE_EQ(desc->miss_penalty, 4.0);
@@ -121,7 +121,8 @@ TEST(CacheNodeTest, EvictionDemotesDescriptorsToDCache) {
   EXPECT_TRUE(node.Contains(2));
   EXPECT_FALSE(node.DescriptorInMain(1));
   // Object 1's descriptor (with history) now lives in the d-cache.
-  const ObjectDescriptor* demoted = node.dcache()->Find(1);
+  ASSERT_TRUE(node.DescriptorInDCache(1));
+  const ObjectDescriptor* demoted = node.FindDescriptor(1);
   ASSERT_NE(demoted, nullptr);
   EXPECT_EQ(demoted->num_accesses, 2);
 }
@@ -142,9 +143,9 @@ TEST(CacheNodeTest, RefreshLossTracksFrequencyDecay) {
   config.frequency.aging_interval = 1.0;
   node.Reset(config);
   ASSERT_TRUE(node.InsertCost(1, 100, 10.0, 0.0));
-  const double early_loss = node.ncl()->LossOf(1);
+  const double early_loss = node.LossOf(1);
   node.RefreshLoss(1, 10000.0);  // Long idle: frequency decays.
-  EXPECT_LT(node.ncl()->LossOf(1), early_loss);
+  EXPECT_LT(node.LossOf(1), early_loss);
 }
 
 TEST(CacheNodeTest, UpdateMissPenaltyOnDCacheDescriptor) {
@@ -172,7 +173,8 @@ TEST(CacheNodeTest, EraseObjectInCostModeDemotesDescriptor) {
   EXPECT_FALSE(node.Contains(1));
   EXPECT_FALSE(node.DescriptorInMain(1));
   // History survives in the d-cache.
-  const ObjectDescriptor* demoted = node.dcache()->Find(1);
+  ASSERT_TRUE(node.DescriptorInDCache(1));
+  const ObjectDescriptor* demoted = node.FindDescriptor(1);
   ASSERT_NE(demoted, nullptr);
   EXPECT_EQ(demoted->num_accesses, 2);
   EXPECT_TRUE(node.CheckInvariants());
@@ -215,8 +217,19 @@ TEST(CacheNodeTest, CheckInvariantsCatchesCorruption) {
   CacheNode node(0, CostConfig());
   ASSERT_TRUE(node.InsertCost(1, 100, 5.0, 1.0));
   EXPECT_TRUE(node.CheckInvariants());
-  // Bypass the CacheNode API to desynchronize store and descriptors.
-  node.ncl()->Erase(1);
+  // The one directory keeps store and descriptors from parting ways, but
+  // a descriptor edited behind the node's back can still disagree with
+  // the state derived from it: a cached object's size with the bytes the
+  // store charged, a d-cache entry's frequency with its heap priority.
+  ObjectDescriptor* cached = node.FindDescriptor(1);
+  cached->size = 999;
+  EXPECT_FALSE(node.CheckInvariants());
+  cached->size = 100;
+  EXPECT_TRUE(node.CheckInvariants());
+  ObjectDescriptor* tracked = node.AdmitDescriptor(2, 10, 2.0);
+  ASSERT_NE(tracked, nullptr);
+  EXPECT_TRUE(node.CheckInvariants());
+  tracked->frequency += 1.0;
   EXPECT_FALSE(node.CheckInvariants());
 }
 
@@ -265,12 +278,13 @@ TEST(CacheNodeTest, ResetReusesCostStoresInPlace) {
     ASSERT_TRUE(node.InsertCost(id, 100, 2.0, 1.0));
   }
   node.AdmitDescriptor(50, 10, 1.0);
-  cache::NclCache* ncl_before = node.ncl();
-  cache::DCache* dcache_before = node.dcache();
+  const size_t span_before = node.descriptor_slot_span();
+  ASSERT_EQ(span_before, 6u);
 
   node.Reset(CostConfig());
-  EXPECT_EQ(node.ncl(), ncl_before);
-  EXPECT_EQ(node.dcache(), dcache_before);
+  EXPECT_EQ(node.descriptor_slot_span(), 0u);  // Slots recycled in place.
+  EXPECT_EQ(node.dcache_capacity(), 8u);
+  EXPECT_EQ(node.dcache_size(), 0u);
   EXPECT_EQ(node.used_bytes(), 0u);
   for (ObjectId id = 0; id < 5; ++id) {
     EXPECT_FALSE(node.Contains(id)) << "stale entry for " << id;
@@ -278,9 +292,12 @@ TEST(CacheNodeTest, ResetReusesCostStoresInPlace) {
   }
   EXPECT_EQ(node.FindDescriptor(50), nullptr);
 
-  // The plane is immediately usable again.
-  ASSERT_TRUE(node.InsertCost(7, 100, 2.0, 1.0));
+  // The plane is immediately usable again, re-filling the old slots.
+  for (ObjectId id = 7; id < 13; ++id) {
+    ASSERT_TRUE(node.InsertCost(id, 100, 2.0, 1.0));
+  }
   EXPECT_TRUE(node.Contains(7));
+  EXPECT_EQ(node.descriptor_slot_span(), span_before);
   EXPECT_TRUE(node.CheckInvariants());
 }
 
@@ -292,7 +309,7 @@ TEST(CacheNodeTest, ResetRebuildsWhenShapeChanges) {
   EXPECT_FALSE(node.Contains(1));
   node.Reset(CostConfig());  // Different mode: full rebuild.
   EXPECT_EQ(node.mode(), CacheMode::kCost);
-  EXPECT_NE(node.dcache(), nullptr);
+  EXPECT_EQ(node.dcache_capacity(), 8u);
   EXPECT_TRUE(node.CheckInvariants());
 }
 

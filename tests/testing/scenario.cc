@@ -48,6 +48,12 @@ trace::Request At(double time, trace::ObjectId object,
   return req;
 }
 
+const cache::ObjectDescriptor* DCacheDescriptor(sim::CacheNode* node,
+                                                trace::ObjectId object) {
+  return node->DescriptorInDCache(object) ? node->FindDescriptor(object)
+                                          : nullptr;
+}
+
 void Warm(sim::Simulator* simulator,
           const std::vector<trace::Request>& requests) {
   for (const trace::Request& req : requests) {

@@ -35,6 +35,11 @@ std::unique_ptr<sim::Network> MakeTreeNetwork(
 trace::Request At(double time, trace::ObjectId object,
                   trace::ClientId client = 0);
 
+/// The descriptor `node` keeps for `object` in its d-cache, or nullptr
+/// when it has none there (unknown, or cached beside the copy).
+const cache::ObjectDescriptor* DCacheDescriptor(sim::CacheNode* node,
+                                                trace::ObjectId object);
+
 /// Steps a simulator through requests without collecting metrics.
 void Warm(sim::Simulator* simulator,
           const std::vector<trace::Request>& requests);

@@ -128,6 +128,53 @@ TEST(FlagParserTest, NegativeAndLargeNumbers) {
   EXPECT_DOUBLE_EQ(d, -2500.0);
 }
 
+// Integers past their type's range are errors, not saturated (strtoll's
+// ERANGE) or narrowed (a value outside int or uint32_t) values; the
+// pointee keeps its previous value.
+TEST(FlagParserTest, OutOfRangeIntegersFail) {
+  for (const char* arg :
+       {"--i64=9223372036854775808", "--i64=-9223372036854775809",
+        "--u64=18446744073709551616", "--u64=99999999999999999999",
+        "--i32=2147483648", "--i32=-2147483649",
+        "--i32=99999999999999999999", "--u32=4294967296",
+        "--u32=4294967297", "--u32=-1"}) {
+    FlagParser parser;
+    int64_t i64 = 1;
+    uint64_t u64 = 2;
+    int i32 = 3;
+    uint32_t u32 = 4;
+    parser.AddInt64("i64", 1, "h", &i64);
+    parser.AddUint64("u64", 2, "h", &u64);
+    parser.AddInt("i32", 3, "h", &i32);
+    parser.AddUint32("u32", 4, "h", &u32);
+    const char* argv[] = {arg};
+    const Status status = parser.Parse(1, argv);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_EQ(i64, 1) << arg;
+    EXPECT_EQ(u64, 2u) << arg;
+    EXPECT_EQ(i32, 3) << arg;
+    EXPECT_EQ(u32, 4u) << arg;
+  }
+}
+
+TEST(FlagParserTest, NarrowIntegersAcceptTheirWholeRange) {
+  FlagParser parser;
+  int lo = 0;
+  int hi = 0;
+  uint32_t u = 0;
+  parser.AddInt("lo", 0, "h", &lo);
+  parser.AddInt("hi", 0, "h", &hi);
+  parser.AddUint32("u", 7, "h", &u);
+  EXPECT_EQ(u, 7u);
+  const char* argv[] = {"--lo=-2147483648", "--hi=2147483647",
+                        "--u=4294967295"};
+  ASSERT_TRUE(parser.Parse(3, argv).ok());
+  EXPECT_EQ(lo, INT32_MIN);
+  EXPECT_EQ(hi, INT32_MAX);
+  EXPECT_EQ(u, UINT32_MAX);
+  EXPECT_NE(parser.Usage("prog").find("--u (default: 7)"), std::string::npos);
+}
+
 TEST(FlagParserTest, WasSetTracksExplicitFlags) {
   FlagParser parser;
   double d = 0;

@@ -75,8 +75,9 @@ util::StatusOr<schemes::SchemeSpec> ParseScheme(const std::string& name,
 util::Status RunMain(int argc, char** argv) {
   util::FlagParser flags;
   std::string arch, schemes_text, cache_text, cost, coherency, save_trace;
-  uint64_t requests, objects, clients, servers, seed;
-  int64_t radius;
+  uint64_t requests, seed;
+  uint32_t objects, clients, servers;
+  int radius;
   double theta, dcache_ratio, warmup, ttl, mutable_fraction, update_period,
       temporal, churn, level_growth;
   bool help;
@@ -87,13 +88,13 @@ util::Status RunMain(int argc, char** argv) {
   flags.AddString("schemes", "lru,modulo,lncr,coordinated",
                   "comma list of lru|modulo|lncr|coordinated|gds|lfu",
                   &schemes_text);
-  flags.AddInt64("radius", 4, "MODULO cache radius", &radius);
+  flags.AddInt("radius", 4, "MODULO cache radius", &radius);
   flags.AddString("cache", "0.01",
                   "comma list of relative cache sizes in (0,1]", &cache_text);
   flags.AddUint64("requests", 200'000, "synthetic trace length", &requests);
-  flags.AddUint64("objects", 20'000, "synthetic object population", &objects);
-  flags.AddUint64("clients", 1'000, "synthetic client population", &clients);
-  flags.AddUint64("servers", 200, "origin server count", &servers);
+  flags.AddUint32("objects", 20'000, "synthetic object population", &objects);
+  flags.AddUint32("clients", 1'000, "synthetic client population", &clients);
+  flags.AddUint32("servers", 200, "origin server count", &servers);
   flags.AddDouble("theta", 0.8, "Zipf exponent of object popularity", &theta);
   flags.AddUint64("seed", 42, "workload seed", &seed);
   std::string trace_in, trace_out;
@@ -143,7 +144,7 @@ util::Status RunMain(int argc, char** argv) {
   double drift_half_life, flash_per_hour, flash_peak_share, flash_ramp,
       flash_decay, wl_diurnal_amplitude, wl_diurnal_period, session_prob,
       session_run, regional_bias;
-  uint64_t flash_objects, regions;
+  uint32_t flash_objects, regions;
   flags.AddString("workload", "static",
                   "workload model: static, or comma list of "
                   "drift|flash|diurnal|sessions|regional "
@@ -159,7 +160,7 @@ util::Status RunMain(int argc, char** argv) {
   flags.AddDouble("workload-flash-per-hour", 2.0,
                   "flash-crowd events per simulated hour",
                   &flash_per_hour);
-  flags.AddUint64("workload-flash-objects", 64,
+  flags.AddUint32("workload-flash-objects", 64,
                   "objects in each flash crowd's hot set", &flash_objects);
   flags.AddDouble("workload-flash-peak-share", 0.3,
                   "peak fraction of traffic one flash event captures",
@@ -181,7 +182,7 @@ util::Status RunMain(int argc, char** argv) {
   flags.AddDouble("workload-session-run", 20.0,
                   "mean session length in requests (geometric)",
                   &session_run);
-  flags.AddUint64("workload-regions", 8,
+  flags.AddUint32("workload-regions", 8,
                   "client regions for regional skew (region = client mod "
                   "regions)",
                   &regions);
@@ -196,11 +197,11 @@ util::Status RunMain(int argc, char** argv) {
   flags.AddDouble("level-growth", 1.0,
                   "hierarchical per-level capacity growth (1 = uniform)",
                   &level_growth);
-  int64_t jobs;
-  flags.AddInt64("jobs", 0,
-                 "worker threads for the sweep (0 = CASCACHE_JOBS env, "
-                 "else hardware concurrency; 1 = sequential)",
-                 &jobs);
+  int jobs;
+  flags.AddInt("jobs", 0,
+               "worker threads for the sweep (0 = CASCACHE_JOBS env, "
+               "else hardware concurrency; 1 = sequential)",
+               &jobs);
   std::string results_csv, per_node_csv, trace_jsonl;
   double trace_sample;
   int64_t trace_ring;
@@ -224,7 +225,7 @@ util::Status RunMain(int argc, char** argv) {
   // --fault-* flags.
   std::string fault_config_path;
   uint64_t fault_seed;
-  int64_t fault_max_retries;
+  int fault_max_retries;
   double fault_node_mtbf, fault_node_downtime, fault_link_mtbf,
       fault_link_downtime, fault_ascent_loss, fault_decision_loss,
       fault_timeout, fault_backoff, fault_disk_mtbf, fault_disk_downtime,
@@ -258,9 +259,9 @@ util::Status RunMain(int argc, char** argv) {
   flags.AddDouble("fault-timeout", 5.0,
                   "seconds before an unreachable request retries",
                   &fault_timeout);
-  flags.AddInt64("fault-max-retries", 3,
-                 "retries before a request is recorded as failed",
-                 &fault_max_retries);
+  flags.AddInt("fault-max-retries", 3,
+               "retries before a request is recorded as failed",
+               &fault_max_retries);
   flags.AddDouble("fault-backoff", 1.0,
                   "retry k backs off fault-backoff * 2^k seconds",
                   &fault_backoff);
@@ -296,19 +297,19 @@ util::Status RunMain(int argc, char** argv) {
   // Sibling cooperation (ICP-style): on a local miss, probe same-parent
   // siblings before ascending.
   bool sibling_probes;
-  int64_t sibling_level, sibling_max_probes;
+  int sibling_level, sibling_max_probes;
   uint64_t sibling_probe_bytes;
   double sibling_probe_cost;
   flags.AddBool("sibling-probes", false,
                 "probe same-parent siblings on a local miss before "
                 "ascending (hierarchical architecture)",
                 &sibling_probes);
-  flags.AddInt64("sibling-level", -1,
-                 "tree level that probes siblings (-1 = every level)",
-                 &sibling_level);
-  flags.AddInt64("sibling-max-probes", 0,
-                 "max siblings probed per miss (0 = all siblings)",
-                 &sibling_max_probes);
+  flags.AddInt("sibling-level", -1,
+               "tree level that probes siblings (-1 = every level)",
+               &sibling_level);
+  flags.AddInt("sibling-max-probes", 0,
+               "max siblings probed per miss (0 = all siblings)",
+               &sibling_max_probes);
   flags.AddUint64("sibling-probe-bytes", 16,
                   "message bytes per sibling probe (and per hit reply)",
                   &sibling_probe_bytes);
@@ -319,7 +320,7 @@ util::Status RunMain(int argc, char** argv) {
   // replay to the event-driven scheduling policy.
   double service_lookup, service_store, service_dcache, link_bandwidth,
       arrival_rate, arrival_ramp;
-  int64_t service_queue_cap;
+  uint32_t service_queue_cap;
   flags.AddDouble("service-lookup", 0.0,
                   "node service seconds per cache lookup (0 = analytic)",
                   &service_lookup);
@@ -329,9 +330,9 @@ util::Status RunMain(int argc, char** argv) {
   flags.AddDouble("service-dcache", 0.0,
                   "node service seconds per d-cache probe",
                   &service_dcache);
-  flags.AddInt64("service-queue-cap", 0,
-                 "node queue capacity in ops before shedding (0 = unbounded)",
-                 &service_queue_cap);
+  flags.AddUint32("service-queue-cap", 0,
+                  "node queue capacity in ops before shedding (0 = unbounded)",
+                  &service_queue_cap);
   flags.AddDouble("link-bandwidth", 0.0,
                   "link bandwidth in bytes/second (0 = infinite)",
                   &link_bandwidth);
@@ -368,7 +369,7 @@ util::Status RunMain(int argc, char** argv) {
   config.schemes.clear();
   for (const std::string& name : util::SplitCommaList(schemes_text)) {
     CASCACHE_ASSIGN_OR_RETURN(schemes::SchemeSpec spec,
-                              ParseScheme(name, static_cast<int>(radius)));
+                              ParseScheme(name, radius));
     config.schemes.push_back(spec);
   }
   if (config.schemes.empty()) {
@@ -381,9 +382,9 @@ util::Status RunMain(int argc, char** argv) {
   }
 
   config.workload.num_requests = requests;
-  config.workload.num_objects = static_cast<uint32_t>(objects);
-  config.workload.num_clients = static_cast<uint32_t>(clients);
-  config.workload.num_servers = static_cast<uint32_t>(servers);
+  config.workload.num_objects = objects;
+  config.workload.num_clients = clients;
+  config.workload.num_servers = servers;
   config.workload.zipf_theta = theta;
   config.workload.seed = seed;
   config.workload.temporal_locality = temporal;
@@ -418,7 +419,7 @@ util::Status RunMain(int argc, char** argv) {
         model.drift_half_life_s = drift_half_life;
       } else if (part == "flash") {
         model.flash_rate_per_hour = flash_per_hour;
-        model.flash_objects = static_cast<uint32_t>(flash_objects);
+        model.flash_objects = flash_objects;
         model.flash_peak_share = flash_peak_share;
         model.flash_ramp_s = flash_ramp;
         model.flash_decay_s = flash_decay;
@@ -429,7 +430,7 @@ util::Status RunMain(int argc, char** argv) {
         model.session_prob = session_prob;
         model.session_mean_run = session_run;
       } else if (part == "regional") {
-        model.regions = static_cast<uint32_t>(regions);
+        model.regions = regions;
         model.regional_bias = regional_bias;
       } else {
         return util::Status::InvalidArgument(
@@ -474,7 +475,7 @@ util::Status RunMain(int argc, char** argv) {
   config.sim.coherency.ttl = ttl;
   config.sim.coherency.mutable_fraction = mutable_fraction;
   config.sim.coherency.mean_update_period = update_period;
-  config.jobs = static_cast<int>(jobs);
+  config.jobs = jobs;
   config.sim.trace.enabled = !trace_jsonl.empty();
   config.sim.trace.sampling_rate = trace_sample;
   if (trace_ring < 1) {
@@ -518,7 +519,7 @@ util::Status RunMain(int argc, char** argv) {
     fault_config.request_timeout = fault_timeout;
   }
   if (flags.WasSet("fault-max-retries")) {
-    fault_config.max_retries = static_cast<int>(fault_max_retries);
+    fault_config.max_retries = fault_max_retries;
   }
   if (flags.WasSet("fault-backoff")) {
     fault_config.retry_backoff = fault_backoff;
@@ -540,8 +541,8 @@ util::Status RunMain(int argc, char** argv) {
   config.sim.tier.disk_hit_cost = tier_disk_hit_cost;
   CASCACHE_RETURN_IF_ERROR(config.sim.tier.Validate());
   config.sim.sibling.enabled = sibling_probes;
-  config.sim.sibling.level = static_cast<int>(sibling_level);
-  config.sim.sibling.max_probes = static_cast<int>(sibling_max_probes);
+  config.sim.sibling.level = sibling_level;
+  config.sim.sibling.max_probes = sibling_max_probes;
   config.sim.sibling.probe_bytes = sibling_probe_bytes;
   config.sim.sibling.probe_cost = sibling_probe_cost;
   CASCACHE_RETURN_IF_ERROR(config.sim.sibling.Validate());
@@ -549,11 +550,7 @@ util::Status RunMain(int argc, char** argv) {
   config.sim.contention.lookup_cost = service_lookup;
   config.sim.contention.store_cost = service_store;
   config.sim.contention.dcache_cost = service_dcache;
-  if (service_queue_cap < 0) {
-    return util::Status::InvalidArgument("--service-queue-cap must be >= 0");
-  }
-  config.sim.contention.node_queue_capacity =
-      static_cast<uint32_t>(service_queue_cap);
+  config.sim.contention.node_queue_capacity = service_queue_cap;
   config.sim.contention.link_bandwidth = link_bandwidth;
   config.sim.contention.arrival_rate = arrival_rate;
   config.sim.contention.arrival_ramp = arrival_ramp;
